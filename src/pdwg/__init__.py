@@ -43,7 +43,6 @@ from .polyquad import (
     edge_quadrature,
     project_edge,
     project_element,
-    projection_set,
     triangle_quadrature,
 )
 from .problems import ProblemSpec, builtin, catalog_names, cordes_check, cordes_samples
@@ -88,7 +87,6 @@ __all__ = [
     "edge_quadrature",
     "project_edge",
     "project_element",
-    "projection_set",
     "triangle_quadrature",
     "ProblemSpec",
     "builtin",

@@ -32,10 +32,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .assembly import assemble_stabilizer, build_saddle
-from .mesh import build_initial_mesh, refine_uniform
+from .mesh import _write_text, build_initial_mesh, refine_uniform
 from .polyquad import (
     DATA_DEGREE_DEFAULT,
     GEOMETRY_TRI_DEGREE,
+    _edge_points,
     get_element_rule,
     get_tri_basis,
     project_edge,
@@ -103,11 +104,7 @@ def edge_gradient_interpolant(grad_u, mesh, degree=1):
     ``degree = 1`` this is plain endpoint interpolation.
     """
     t_nodes = np.linspace(-1.0, 1.0, degree + 1)
-    lo = mesh.vertices[mesh.edges[:, 0]]
-    hi = mesh.vertices[mesh.edges[:, 1]]
-    mid = 0.5 * (lo + hi)
-    half = 0.5 * (hi - lo)
-    pts = mid[:, None, :] + t_nodes[None, :, None] * half[:, None, :]
+    pts = _edge_points(mesh, t_nodes)
     vals = np.asarray(grad_u(pts[..., 0], pts[..., 1]), dtype=float)  # (2, ne, deg+1)
     if not np.all(np.isfinite(vals)):
         raise ValueError("gradient evaluation returned a non-finite value")
@@ -289,11 +286,7 @@ class ConvergenceTable:
             buf.write(",".join(fields) + "\n")
         text = buf.getvalue()
         if target is not None:
-            if hasattr(target, "write"):
-                target.write(text)
-            else:
-                with open(target, "w") as fh:
-                    fh.write(text)
+            _write_text(text, target)
         return text
 
     def to_loglog_csv(self, target=None):
@@ -307,11 +300,7 @@ class ConvergenceTable:
             )
         text = buf.getvalue()
         if target is not None:
-            if hasattr(target, "write"):
-                target.write(text)
-            else:
-                with open(target, "w") as fh:
-                    fh.write(text)
+            _write_text(text, target)
         return text
 
     def summary_lines(self):
@@ -326,7 +315,7 @@ class ConvergenceTable:
         return lines
 
 
-def run_study(problem, config=None, levels=6, quad_degree=None, method="direct", on_level=None):
+def run_study(problem, config=None, levels=6, quad_degree=None, on_level=None):
     """Solve ``problem`` on ``levels`` uniformly refined meshes.
 
     Parameters
@@ -340,7 +329,6 @@ def run_study(problem, config=None, levels=6, quad_degree=None, method="direct",
         refinements); must be at least 2 so orders can be observed.
     quad_degree : int, optional
         Override of the data quadrature degree.
-    method : {"direct", "minres"}
     on_level : callable, optional
         Called as ``on_level(mesh, system, solution, row)`` after each
         level solves; useful for dumping systems or progress reporting.
@@ -359,7 +347,7 @@ def run_study(problem, config=None, levels=6, quad_degree=None, method="direct",
         if lvl > 0:
             mesh = refine_uniform(mesh)
         system = build_saddle(mesh, config, problem, quad_degree=quad_degree)
-        sol = solve(system, method=method)
+        sol = solve(system)
         row = error_norms(sol, problem, system=system, quad_degree=quad_degree)
         rows.append(row)
         if on_level is not None:

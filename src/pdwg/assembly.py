@@ -24,13 +24,12 @@ solve time, their contributions moved to the right-hand side.
 
 from __future__ import annotations
 
-import inspect
 from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.sparse as sp
 
-from .mesh import outward_normals
+from .mesh import _write_text
 from .polyquad import (
     DATA_DEGREE_DEFAULT,
     GEOMETRY_EDGE_DEGREE,
@@ -57,33 +56,16 @@ __all__ = [
 ]
 
 
-def _as_field(fn):
-    """Normalize an evaluator to the ``(x, y, region)`` calling convention."""
-    if fn is None:
-        return None
-    try:
-        n_params = len(inspect.signature(fn).parameters)
-    except (TypeError, ValueError):
-        n_params = 3
-    if n_params >= 3:
-        return fn
-
-    def wrapped(x, y, region=None, _fn=fn):
-        return _fn(x, y)
-
-    return wrapped
-
-
 @dataclass(frozen=True)
 class CoefficientField:
     """Symmetric 2x2 coefficient tensor of the operator.
 
-    Entries are vectorized evaluators ``a(x, y, region)`` (two-argument
-    callables are adapted); ``region`` carries the element region tags so
-    that tensors jumping across region interfaces are evaluated by tag,
-    never by the sign of a near-interface point.  ``a21`` defaults to
-    ``a12``; if given explicitly it must agree with ``a12`` wherever
-    evaluated (the tensor is symmetric).
+    Entries are vectorized evaluators called as ``a(x, y, region=region)``;
+    ``region`` carries the element region tags so that tensors jumping
+    across region interfaces are evaluated by tag, never by the sign of a
+    near-interface point.  ``a21`` defaults to ``a12``; if given
+    explicitly it must agree with ``a12`` wherever evaluated (the tensor
+    is symmetric).
 
     ``bounds`` optionally records ellipticity constants ``(alpha, beta)``
     with ``alpha |xi|^2 <= xi.a.xi <= beta |xi|^2``.
@@ -97,17 +79,15 @@ class CoefficientField:
     quad_degree: int | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "a11", _as_field(self.a11))
-        object.__setattr__(self, "a12", _as_field(self.a12))
-        object.__setattr__(self, "a22", _as_field(self.a22))
-        object.__setattr__(self, "a21", _as_field(self.a21) or self.a12)
+        if self.a21 is None:
+            object.__setattr__(self, "a21", self.a12)
 
     def entries(self, x, y, region=None):
         """Evaluate all four entries, broadcast over the inputs."""
         shape = np.broadcast(x, y).shape
         out = {}
         for key, fn in (("11", self.a11), ("12", self.a12), ("21", self.a21), ("22", self.a22)):
-            vals = np.asarray(fn(x, y, region), dtype=float)
+            vals = np.asarray(fn(x, y, region=region), dtype=float)
             out[key] = np.broadcast_to(vals, shape)
         if not all(np.all(np.isfinite(v)) for v in out.values()):
             raise ValueError("coefficient evaluation returned a non-finite value")
@@ -180,7 +160,7 @@ def stabilizer_local_parts(mesh, dofmap):
 
     Returns ``(jump0, jump1)`` of shape (nt, nloc, nloc) such that the
     local stabilizer is ``h_T**-3 * jump0 + h_T**-1 * jump1``; ``jump0``
-    is identically zero in the C0 variant.
+    is None in the C0 variant, where the value mismatch vanishes.
     """
 
     def _build():
@@ -218,15 +198,14 @@ def stabilizer_local_parts(mesh, dofmap):
             jump1 += np.einsum("etql,etqm,etq->elm", J, J, we, optimize=True)
 
         if config.c0_type:
-            jump0 = np.zeros((nt, layout.nloc, layout.nloc))
-        else:
-            T0 = tb.eval(pe)
-            Xb = get_edge_basis(mesh, k).eval_ref(t)[g]
-            J = np.zeros((nt, 3, nq, layout.nloc))
-            J[:, :, :, layout.v0] = T0
-            for ledge in range(3):
-                J[:, ledge, :, layout.vb(ledge)] = -Xb[:, ledge]
-            jump0 = np.einsum("etql,etqm,etq->elm", J, J, we, optimize=True)
+            return None, jump1
+        T0 = tb.eval(pe)
+        Xb = get_edge_basis(mesh, k).eval_ref(t)[g]
+        J = np.zeros((nt, 3, nq, layout.nloc))
+        J[:, :, :, layout.v0] = T0
+        for ledge in range(3):
+            J[:, ledge, :, layout.vb(ledge)] = -Xb[:, ledge]
+        jump0 = np.einsum("etql,etqm,etq->elm", J, J, we, optimize=True)
         return jump0, jump1
 
     return mesh._memo(("stabilizer_parts", dofmap.config), _build)
@@ -284,7 +263,7 @@ def assemble_stabilizer(mesh, dofmap):
     def _build():
         jump0, jump1 = stabilizer_local_parts(mesh, dofmap)
         h = mesh.h_t[:, None, None]
-        local = jump0 / h**3 + jump1 / h
+        local = jump1 / h if jump0 is None else jump0 / h**3 + jump1 / h
         local = 0.5 * (local + np.transpose(local, (0, 2, 1)))
         S = _scatter(local, dofmap.element_primal, dofmap.element_primal,
                      (dofmap.n_primal, dofmap.n_primal))
@@ -300,7 +279,8 @@ def assemble_constraint(mesh, dofmap, coeff, f, quad_degree=None):
     ``B[n, :] v`` equals ``sum_ij (a_ij D_ij(v), sigma_n)_T`` over the
     owning element of multiplier basis function ``sigma_n``;
     ``F[n] = (f, sigma_n)_T``.  Coefficients and ``f`` are evaluated at
-    interior quadrature points with the element region tag.
+    interior quadrature points as ``fn(x, y, region=region)`` with the
+    element region tags.
     """
     config = dofmap.config
     qd = quad_degree
@@ -321,8 +301,7 @@ def assemble_constraint(mesh, dofmap, coeff, f, quad_degree=None):
         M = np.einsum("eqn,eqm,eq,eq->enm", VS, VS, a[f"{i}{j}"], w, optimize=True)
         B_local += M @ H
 
-    f = _as_field(f)
-    fvals = np.asarray(f(x, y, region), dtype=float)
+    fvals = np.asarray(f(x, y, region=region), dtype=float)
     fvals = np.broadcast_to(fvals, x.shape)
     if not np.all(np.isfinite(fvals)):
         raise ValueError("right-hand side evaluation returned a non-finite value")
@@ -359,9 +338,7 @@ def apply_dirichlet(system, g, dofmap, mesh, quad_degree=None):
             X = basis.eval_ref(t)[bedges]
             coeffs = np.einsum("eqn,eq,eq->en", X, gvals, w, optimize=True)
             ids = dofmap.vb_base + bedges[:, None] * (k + 1) + np.arange(k + 1)[None, :]
-            lookup = {int(d): i for i, d in enumerate(dofmap.constrained)}
-            pos = np.array([lookup[int(d)] for d in ids.ravel()], dtype=np.int64)
-            values[pos] = coeffs.ravel()
+            values[np.searchsorted(dofmap.constrained, ids.ravel())] = coeffs.ravel()
     if not np.all(np.isfinite(values)):
         raise ValueError("boundary data evaluation returned a non-finite value")
     return replace(system, constrained_values=values)
@@ -405,9 +382,4 @@ def dump_system(system, target):
     lines = [f"{system.n_primal} {system.n_mult} {K.nnz}"]
     for r, c, v in zip(K.row[order], K.col[order], K.data[order]):
         lines.append(f"{r} {c} {v:.17g}")
-    text = "\n".join(lines) + "\n"
-    if hasattr(target, "write"):
-        target.write(text)
-    else:
-        with open(target, "w") as fh:
-            fh.write(text)
+    _write_text("\n".join(lines) + "\n", target)

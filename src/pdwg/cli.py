@@ -10,9 +10,7 @@ failure.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
-from dataclasses import dataclass
 
 from .analysis import run_study
 from .assembly import dump_system
@@ -20,28 +18,13 @@ from .problems import builtin, catalog_names
 from .solver import SolverError
 from .wgspace import SpaceConfig
 
-__all__ = ["RunConfig", "build_parser", "main", "cli_entry"]
+__all__ = ["build_parser", "main", "cli_entry"]
 
 #: Multiplier flag values -> internal space names.  ``p0`` selects the
 #: low-degree bracket end (degree k - 2), ``p1`` the high end (degree
 #: k - 1); ``auto`` takes the high end, which is the variant with the
 #: strongest observed multiplier decay.
 _MULTIPLIER_CHOICES = {"p0": "pkm2", "p1": "pkm1", "auto": "pkm1"}
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Resolved CLI options of one study run."""
-
-    problem: str
-    k: int
-    multiplier: str
-    c0: bool
-    levels: int
-    out: str
-    dump_system: str | None
-    seed: int
-    threads: int | None
 
 
 def build_parser():
@@ -84,18 +67,6 @@ def build_parser():
         metavar="PATH",
         help="write the finest-level assembled system in coordinate format",
     )
-    parser.add_argument(
-        "--seed",
-        type=int,
-        default=0,
-        help="seed recorded for randomized diagnostics (the study itself is deterministic)",
-    )
-    parser.add_argument(
-        "--threads",
-        type=int,
-        default=None,
-        help="thread count for the linear algebra backend (best effort)",
-    )
     return parser
 
 
@@ -112,8 +83,6 @@ def main(argv=None):
             parser.error("levels must be ≥ 2")
         if args.k < 2:
             parser.error("k must be ≥ 2")
-        if args.threads is not None and args.threads < 1:
-            parser.error("threads must be ≥ 1")
         try:
             problem = builtin(args.problem)
         except ValueError as exc:
@@ -121,25 +90,10 @@ def main(argv=None):
     except SystemExit as exc:
         return int(exc.code or 0)
 
-    if args.threads is not None:
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-            os.environ[var] = str(args.threads)
-
     config = SpaceConfig(
         k=args.k,
         multiplier_space=_MULTIPLIER_CHOICES[args.multiplier],
         c0_type=not args.no_c0,
-    )
-    run = RunConfig(
-        problem=problem.name,
-        k=args.k,
-        multiplier=args.multiplier,
-        c0=not args.no_c0,
-        levels=args.levels,
-        out=args.out,
-        dump_system=args.dump_system,
-        seed=args.seed,
-        threads=args.threads,
     )
 
     final = {}
@@ -148,17 +102,17 @@ def main(argv=None):
         final["system"] = system
 
     try:
-        table = run_study(problem, config, levels=run.levels, on_level=_grab)
+        table = run_study(problem, config, levels=args.levels, on_level=_grab)
     except SolverError as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return 3
 
     for line in table.summary_lines():
         print(line)
-    table.to_csv(run.out)
-    table.to_loglog_csv(_loglog_path(run.out))
-    if run.dump_system:
-        dump_system(final["system"], run.dump_system)
+    table.to_csv(args.out)
+    table.to_loglog_csv(_loglog_path(args.out))
+    if args.dump_system:
+        dump_system(final["system"], args.dump_system)
     return 0
 
 

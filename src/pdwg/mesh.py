@@ -22,15 +22,11 @@ from the parent.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 __all__ = [
-    "Point2",
-    "Triangle",
-    "Edge",
     "DomainSpec",
     "Mesh",
     "build_initial_mesh",
@@ -40,39 +36,6 @@ __all__ = [
     "dump_mesh",
     "ref_square_quadrant_signs",
 ]
-
-
-@dataclass(frozen=True)
-class Point2:
-    """A point in the plane with finite coordinates."""
-
-    x: float
-    y: float
-
-    def __post_init__(self):
-        if not (math.isfinite(self.x) and math.isfinite(self.y)):
-            raise ValueError("point coordinates must be finite")
-
-
-@dataclass(frozen=True)
-class Triangle:
-    """View of one mesh triangle: CCW vertex ids plus region tag."""
-
-    vertex_ids: tuple
-    region_tag: int
-
-
-@dataclass(frozen=True)
-class Edge:
-    """View of one mesh edge: sorted endpoint ids and adjacency.
-
-    An edge is adjacent to exactly one triangle (boundary) or exactly
-    two (interior).
-    """
-
-    vertex_ids: tuple
-    adjacent_triangles: tuple
-    is_boundary: bool
 
 
 _DOMAIN_KINDS = ("unit_square", "ref_square", "l_shape")
@@ -235,17 +198,6 @@ class Mesh:
             return mask
 
         return self._memo("boundary_vertices", _bv)
-
-    # -- entity views ----------------------------------------------------
-    def triangle(self, i):
-        return Triangle(tuple(int(v) for v in self.triangles[i]), int(self.region_tags[i]))
-
-    def edge(self, i):
-        adj = tuple(int(t) for t in self.edge_tris[i] if t >= 0)
-        return Edge(tuple(int(v) for v in self.edges[i]), adj, bool(self.is_boundary_edge[i]))
-
-    def point(self, i):
-        return Point2(float(self.vertices[i, 0]), float(self.vertices[i, 1]))
 
 
 def _validate_triangles(vertices, triangles):
@@ -460,7 +412,11 @@ def dump_mesh(mesh, target):
         lines.append(f"{i} {j} {k} {tag}")
     for (i, j), flag in zip(mesh.edges, mesh.is_boundary_edge):
         lines.append(f"{i} {j} {int(flag)}")
-    text = "\n".join(lines) + "\n"
+    _write_text("\n".join(lines) + "\n", target)
+
+
+def _write_text(text, target):
+    """Write ``text`` to an open handle (anything with ``write``) or a path."""
     if hasattr(target, "write"):
         target.write(text)
     else:

@@ -42,8 +42,6 @@ __all__ = [
     "project_edge",
     "eval_element_poly",
     "eval_edge_poly",
-    "ProjectionSet",
-    "projection_set",
 ]
 
 MAX_EXACT_DEGREE = 25
@@ -242,15 +240,19 @@ def _physical_element_rule(mesh, rule):
     return pts, w
 
 
-def _physical_edge_rule(mesh, rule):
-    t = rule.points
+def _edge_points(mesh, t):
+    """Physical points of reference parameters ``t`` on every edge, (ne, len(t), 2)."""
     lo = mesh.vertices[mesh.edges[:, 0]]
     hi = mesh.vertices[mesh.edges[:, 1]]
     mid = 0.5 * (lo + hi)
     half = 0.5 * (hi - lo)
-    pts = mid[:, None, :] + t[None, :, None] * half[:, None, :]
+    return mid[:, None, :] + t[None, :, None] * half[:, None, :]
+
+
+def _physical_edge_rule(mesh, rule):
+    t = rule.points
     w = rule.weights[None, :] * (0.5 * mesh.edge_lengths)[:, None]
-    return pts, w, t
+    return _edge_points(mesh, t), w, t
 
 
 # -- memoized per-mesh accessors -----------------------------------------
@@ -347,36 +349,3 @@ def eval_edge_poly(mesh, degree, coeffs, t):
     basis = get_edge_basis(mesh, degree)
     X = basis.eval_ref(t)
     return np.einsum("eqn,e...n->e...q", X, coeffs, optimize=True)
-
-
-@dataclass(frozen=True)
-class ProjectionSet:
-    """Bundle of the four projections used by the discretization.
-
-    ``q0`` projects onto element polynomials of degree ``k``; ``qb``
-    onto edge polynomials of degree ``k``; ``qg`` onto vector-valued
-    edge polynomials of degree ``k - 1``; ``qh`` onto the element
-    multiplier space of degree ``mult_degree``.
-    """
-
-    mesh: object
-    k: int
-    mult_degree: int
-    quad_degree: int
-
-    def q0(self, f):
-        return project_element(f, self.k, self.mesh, self.quad_degree)
-
-    def qb(self, f):
-        return project_edge(f, self.k, self.mesh, self.quad_degree)
-
-    def qg(self, grad_f):
-        return project_edge(grad_f, self.k - 1, self.mesh, self.quad_degree)
-
-    def qh(self, f):
-        return project_element(f, self.mult_degree, self.mesh, self.quad_degree)
-
-
-def projection_set(mesh, k, mult_degree, quad_degree=None):
-    qd = quad_degree if quad_degree is not None else max(2 * k + 2, DATA_DEGREE_DEFAULT)
-    return ProjectionSet(mesh=mesh, k=k, mult_degree=mult_degree, quad_degree=qd)

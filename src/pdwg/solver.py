@@ -3,10 +3,8 @@
 The reduced system (constrained DOFs eliminated symmetrically) is
 symmetric indefinite; it is factorized with a sparse LU (SuperLU), with
 one step of iterative refinement, and the relative algebraic residual is
-verified against a hard tolerance.  A MINRES fallback is available
-behind the ``method`` flag and is held to the same residual contract.
-Failure to factorize, a non-finite solution, or a residual above
-tolerance raise :class:`SolverError` naming the suspect block.
+verified against a hard tolerance.  Failure to factorize, a non-finite
+solution, or a residual above tolerance raise :class:`SolverError` naming the suspect block.
 """
 
 from __future__ import annotations
@@ -14,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .polyquad import eval_element_poly
@@ -72,14 +69,13 @@ def _eliminate(system):
     return K_red, rhs_red, free_idx, con, vals
 
 
-def solve(system, method="direct", rtol=RESIDUAL_RTOL):
+def solve(system, rtol=RESIDUAL_RTOL):
     """Solve an assembled :class:`SaddleSystem`.
 
     Parameters
     ----------
     system : SaddleSystem
         Must have boundary values attached (``constrained_values``).
-    method : {"direct", "minres"}
     rtol : float
         Relative residual bound; the solve fails rather than return a
         vector violating it.
@@ -94,25 +90,18 @@ def solve(system, method="direct", rtol=RESIDUAL_RTOL):
     K_red, rhs_red, free_idx, con, vals = _eliminate(system)
     rhs_norm = float(np.linalg.norm(rhs_red))
 
-    if method == "direct":
-        try:
-            lu = spla.splu(K_red)
-        except RuntimeError as exc:
-            raise SolverError(
-                "sparse factorization failed: the saddle system is singular or "
-                "numerically rank-deficient; the constraint block B is the usual "
-                "suspect (mesh too coarse for the multiplier space)"
-            ) from exc
-        x = lu.solve(rhs_red)
-        resid = rhs_red - K_red @ x
-        if np.all(np.isfinite(resid)):
-            x = x + lu.solve(resid)  # one step of iterative refinement
-    elif method == "minres":
-        x, info = spla.minres(K_red, rhs_red, rtol=min(rtol, 1e-10) / 10.0, maxiter=50 * K_red.shape[0])
-        if info != 0:
-            raise SolverError(f"MINRES did not converge (info={info})")
-    else:
-        raise ValueError(f"unknown method {method!r}")
+    try:
+        lu = spla.splu(K_red)
+    except RuntimeError as exc:
+        raise SolverError(
+            "sparse factorization failed: the saddle system is singular or "
+            "numerically rank-deficient; the constraint block B is the usual "
+            "suspect (mesh too coarse for the multiplier space)"
+        ) from exc
+    x = lu.solve(rhs_red)
+    resid = rhs_red - K_red @ x
+    if np.all(np.isfinite(resid)):
+        x = x + lu.solve(resid)  # one step of iterative refinement
 
     if not np.all(np.isfinite(x)):
         raise SolverError(

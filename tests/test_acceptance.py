@@ -31,7 +31,7 @@ from pdwg.wgspace import (
     project_weak,
     weak_hessian_local,
 )
-from pdwg.polyquad import project_element, projection_set
+from pdwg.polyquad import project_element
 
 
 def _verdict(tag, ok, detail):
@@ -351,7 +351,7 @@ def test_invariant_stabilizer_energy_decays(study_cache):
 def test_c8_deterministic_csv_bytes(tmp_path):
     from pdwg.cli import main
 
-    argv = ["--problem", "p1", "--levels", "4", "--seed", "0", "--threads", "1"]
+    argv = ["--problem", "p1", "--levels", "4"]
     a = tmp_path / "a.csv"
     b = tmp_path / "b.csv"
     assert main(argv + ["--out", str(a)]) == 0

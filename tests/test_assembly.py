@@ -185,6 +185,20 @@ def test_constraint_row_p0_is_element_integral(unit_meshes, rng):
         assert np.allclose(got, integral / np.sqrt(mesh.areas), atol=1e-11)
 
 
+def test_coefficient_without_region_keyword_rejected(unit_meshes):
+    # Entries are called as fn(x, y, region=region); a third parameter with
+    # another name must fail loudly, not receive the region tags as ``s``.
+    mesh = unit_meshes[1]
+    dm = build_dof_map(mesh, SpaceConfig(k=2, multiplier_space="pkm1", c0_type=True))
+    coeff = CoefficientField(
+        a11=lambda x, y, s=3.0: s + 0 * x,
+        a12=lambda x, y, s=1.0: s + 0 * x,
+        a22=lambda x, y, s=2.0: s + 0 * x,
+    )
+    with pytest.raises(TypeError):
+        assemble_constraint(mesh, dm, coeff, builtin("p1").f)
+
+
 # -- saddle system ---------------------------------------------------------------
 
 def test_saddle_block_structure(unit_meshes):
@@ -249,12 +263,15 @@ def test_eliminated_system_symmetric(unit_meshes):
     assert K_red.shape[0] == system.n_total - con.size
 
 
-def test_dump_system_roundtrip(unit_meshes):
+def test_dump_system_roundtrip(unit_meshes, tmp_path):
     mesh = unit_meshes[1]
     config = SpaceConfig(k=2, multiplier_space="pkm1", c0_type=True)
     system = build_saddle(mesh, config, builtin("p1"))
     buf = io.StringIO()
     dump_system(system, buf)
+    path = tmp_path / "system.txt"
+    dump_system(system, path)
+    assert path.read_bytes() == buf.getvalue().encode()
     lines = buf.getvalue().strip().split("\n")
     n_primal, n_mult, nnz = map(int, lines[0].split())
     assert (n_primal, n_mult) == (system.n_primal, system.n_mult)

@@ -1,10 +1,9 @@
 """Command-line driver: flag validation, outputs, determinism, entry points."""
 
-import shutil
+import re
 import subprocess
 import sys
-
-import pytest
+from pathlib import Path
 
 from pdwg.analysis import CSV_HEADER, LOGLOG_HEADER
 from pdwg.cli import build_parser, main
@@ -27,11 +26,6 @@ def test_rejects_unknown_problem(capsys):
 def test_rejects_low_degree(capsys):
     assert main(["--problem", "p1", "--k", "1"]) == 2
     assert "k must be ≥ 2" in capsys.readouterr().err
-
-
-def test_rejects_bad_threads(capsys):
-    assert main(["--problem", "p1", "--threads", "0"]) == 2
-    assert "threads must be ≥ 1" in capsys.readouterr().err
 
 
 def test_requires_problem(capsys):
@@ -83,7 +77,7 @@ def test_loglog_companion_without_csv_suffix(tmp_path, capsys):
 def test_repeat_runs_identical_bytes(tmp_path, capsys):
     a = tmp_path / "a.csv"
     b = tmp_path / "b.csv"
-    argv = ["--problem", "p1", "--levels", "3", "--seed", "0", "--threads", "1"]
+    argv = ["--problem", "p1", "--levels", "3"]
     assert main(argv + ["--out", str(a)]) == 0
     assert main(argv + ["--out", str(b)]) == 0
     assert a.read_bytes() == b.read_bytes()
@@ -118,16 +112,6 @@ def test_dump_system(tmp_path, capsys):
     float(val)
 
 
-def test_threads_flag_sets_env(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("OMP_NUM_THREADS", "99")
-    out = tmp_path / "t.csv"
-    assert main(["--problem", "p1", "--levels", "2", "--threads", "2", "--out", str(out)]) == 0
-    import os
-
-    assert os.environ["OMP_NUM_THREADS"] == "2"
-    assert os.environ["OPENBLAS_NUM_THREADS"] == "2"
-
-
 # -- external entry points -------------------------------------------------------
 
 def test_module_invocation(tmp_path):
@@ -142,16 +126,28 @@ def test_module_invocation(tmp_path):
     assert "level 1: e0=" in proc.stdout
 
 
-@pytest.mark.skipif(shutil.which("pdwg-study") is None, reason="console script not on PATH")
 def test_console_script(tmp_path):
+    # Run the pyproject.toml target the way the installed shim does: import
+    # it, set argv[0] to the script name, exit with its return value.
+    pyproject = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
+    match = re.search(r'^pdwg-study\s*=\s*"([\w.]+):(\w+)"', pyproject, re.MULTILINE)
+    assert match, "pyproject.toml declares no pdwg-study console script"
+    module, func = match.groups()
     out = tmp_path / "c.csv"
+    shim = (
+        "import sys\n"
+        f"from {module} import {func}\n"
+        "sys.argv[0] = 'pdwg-study'\n"
+        f"sys.exit({func}())\n"
+    )
     proc = subprocess.run(
-        ["pdwg-study", "--problem", "p1", "--levels", "2", "--out", str(out)],
+        [sys.executable, "-c", shim, "--problem", "p1", "--levels", "2", "--out", str(out)],
         capture_output=True,
         text=True,
     )
     assert proc.returncode == 0, proc.stderr
     assert out.exists()
+    assert "level 1: e0=" in proc.stdout
 
 
 def test_console_script_bad_flags_exit_2(tmp_path):

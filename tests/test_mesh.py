@@ -215,10 +215,13 @@ def test_h_t_is_longest_edge(unit_meshes):
 
 # -- serialization -------------------------------------------------------------
 
-def test_dump_mesh_roundtrip(unit_meshes):
+def test_dump_mesh_roundtrip(unit_meshes, tmp_path):
     m = unit_meshes[1]
     buf = io.StringIO()
     dump_mesh(m, buf)
+    path = tmp_path / "mesh.txt"
+    dump_mesh(m, path)
+    assert path.read_bytes() == buf.getvalue().encode()
     lines = buf.getvalue().strip().split("\n")
     nv, ne, nt = map(int, lines[0].split())
     assert (nv, ne, nt) == (m.n_vertices, m.n_edges, m.n_triangles)

@@ -123,7 +123,7 @@ def test_error_decreases_under_refinement(unit_meshes):
     assert errs[1] / errs[2] > 4.0
 
 
-# -- failure modes and alternatives --------------------------------------------
+# -- failure modes and determinism ---------------------------------------------
 
 def test_missing_boundary_values_raises(unit_meshes):
     mesh = unit_meshes[1]
@@ -132,24 +132,6 @@ def test_missing_boundary_values_raises(unit_meshes):
     stripped = replace(system, constrained_values=None)
     with pytest.raises(ValueError, match="apply_dirichlet"):
         solve(stripped)
-
-
-def test_unknown_method_rejected(unit_meshes):
-    mesh = unit_meshes[1]
-    config = SpaceConfig(k=2, multiplier_space="pkm1", c0_type=True)
-    system = build_saddle(mesh, config, builtin("p1"))
-    with pytest.raises(ValueError, match="unknown method"):
-        solve(system, method="gauss-seidel")
-
-
-def test_minres_agrees_with_direct(unit_meshes):
-    mesh = unit_meshes[1]
-    config = SpaceConfig(k=2, multiplier_space="pkm1", c0_type=True)
-    system = build_saddle(mesh, config, builtin("p1"))
-    direct = solve(system, method="direct")
-    krylov = solve(system, method="minres")
-    scale = np.linalg.norm(direct.primal)
-    assert np.linalg.norm(direct.primal - krylov.primal) <= 1e-6 * scale
 
 
 def test_solve_deterministic(unit_meshes):

@@ -279,7 +279,9 @@ def bound_constants(mesh, config):
     dm = build_dof_map(mesh, config)
     hess = weak_hessian_local(mesh, config)
     jump0, jump1 = stabilizer_local_parts(mesh, dm)
-    S_loc = jump0 / mesh.h_t[:, None, None] ** 3 + jump1 / mesh.h_t[:, None, None]
+    S_loc = jump1 / mesh.h_t[:, None, None]
+    if jump0 is not None:  # None in the C0 variant
+        S_loc += jump0 / mesh.h_t[:, None, None] ** 3
     pts, w = get_element_rule(mesh, 6)
     tb = get_tri_basis(mesh, config.k)
     out = {}
@@ -326,8 +328,9 @@ def test_weak_hessian_bound_constant_under_refinement(rng):
     C = constants[-1]
     for _ in range(100):
         loc = rng.standard_normal((mesh.n_triangles, dm.layout.nloc))
-        sT = np.einsum("elm,el,em->e", jump0, loc, loc) / mesh.h_t**3
-        sT += np.einsum("elm,el,em->e", jump1, loc, loc) / mesh.h_t
+        sT = np.einsum("elm,el,em->e", jump1, loc, loc) / mesh.h_t
+        if jump0 is not None:
+            sT += np.einsum("elm,el,em->e", jump0, loc, loc) / mesh.h_t**3
         u0 = loc[:, dm.layout.v0]
         for i in (1, 2):
             for j in (1, 2):
