@@ -123,16 +123,17 @@ def _edge_weights(mesh):
     return w
 
 
-def error_norms(sol, problem, system=None, quad_degree=None):
-    """All error norms of one solution against the problem's exact fields."""
+def error_norms(sol, problem, system=None):
+    """All error norms of one solution against the problem's exact fields.
+
+    ``e0_true`` and the ``eb`` projection integrate at degree
+    ``max(problem.quad_degree, GEOMETRY_TRI_DEGREE(k))``.
+    """
     if problem.exact_u is None or problem.exact_grad_u is None:
         raise ValueError("problem has no exact solution to compare against")
     mesh, dofmap = sol.mesh, sol.dofmap
     k = dofmap.config.k
-    qd = quad_degree
-    if qd is None:
-        qd = problem.quad_degree if problem.quad_degree is not None else DATA_DEGREE_DEFAULT
-    qd = max(qd, GEOMETRY_TRI_DEGREE(k))
+    qd = max(problem.quad_degree, GEOMETRY_TRI_DEGREE(k))
 
     ih = lagrange_interpolant(problem.exact_u, mesh, k)
     e0 = float(np.linalg.norm(sol.u0 - ih))
@@ -180,7 +181,7 @@ class NormReport:
     s_energy: float
 
 
-def discrete_norms(primal, mesh, config, coeff, quad_degree=None):
+def discrete_norms(primal, mesh, config, coeff):
     """Strong-Hessian and weak-Hessian discrete norms of a primal vector.
 
     ``norm_2h`` uses the multiplier-space projection of
@@ -189,9 +190,7 @@ def discrete_norms(primal, mesh, config, coeff, quad_degree=None):
     of the full triplet.  Both include the stabilizer energy.
     """
     dofmap = build_dof_map(mesh, config)
-    qd = quad_degree if quad_degree is not None else max(
-        GEOMETRY_TRI_DEGREE(config.k), DATA_DEGREE_DEFAULT
-    )
+    qd = max(GEOMETRY_TRI_DEGREE(config.k), DATA_DEGREE_DEFAULT)
     primal = np.asarray(primal, dtype=float)
 
     hess = weak_hessian_local(mesh, config)
@@ -315,20 +314,19 @@ class ConvergenceTable:
         return lines
 
 
-def run_study(problem, config=None, levels=6, quad_degree=None, on_level=None):
+def run_study(problem, config=None, levels=6, on_level=None):
     """Solve ``problem`` on ``levels`` uniformly refined meshes.
 
     Parameters
     ----------
     problem : ProblemSpec
+        Its ``quad_degree`` sets the degree of every data integral.
     config : SpaceConfig, optional
         Defaults to the C0 variant with ``k = 2`` and the degree-1
         multiplier space.
     levels : int
         Number of meshes (the initial mesh plus ``levels - 1``
         refinements); must be at least 2 so orders can be observed.
-    quad_degree : int, optional
-        Override of the data quadrature degree.
     on_level : callable, optional
         Called as ``on_level(mesh, system, solution, row)`` after each
         level solves; useful for dumping systems or progress reporting.
@@ -346,9 +344,9 @@ def run_study(problem, config=None, levels=6, quad_degree=None, on_level=None):
     for lvl in range(levels):
         if lvl > 0:
             mesh = refine_uniform(mesh)
-        system = build_saddle(mesh, config, problem, quad_degree=quad_degree)
+        system = build_saddle(mesh, config, problem)
         sol = solve(system)
-        row = error_norms(sol, problem, system=system, quad_degree=quad_degree)
+        row = error_norms(sol, problem, system=system)
         rows.append(row)
         if on_level is not None:
             on_level(mesh, system, sol, row)

@@ -38,9 +38,8 @@ from .polyquad import (
     get_edge_rule,
     get_element_rule,
     get_tri_basis,
-    space_dim,
 )
-from .wgspace import build_dof_map, nodal_to_modal, weak_hessian_local
+from .wgspace import _element_edge_traces, build_dof_map, nodal_to_modal, weak_hessian_local
 
 __all__ = [
     "CoefficientField",
@@ -63,9 +62,8 @@ class CoefficientField:
     Entries are vectorized evaluators called as ``a(x, y, region=region)``;
     ``region`` carries the element region tags so that tensors jumping
     across region interfaces are evaluated by tag, never by the sign of a
-    near-interface point.  ``a21`` defaults to ``a12``; if given
-    explicitly it must agree with ``a12`` wherever evaluated (the tensor
-    is symmetric).
+    near-interface point.  ``a12`` serves as both off-diagonal entries,
+    so the tensor is symmetric by construction.
 
     ``bounds`` optionally records ellipticity constants ``(alpha, beta)``
     with ``alpha |xi|^2 <= xi.a.xi <= beta |xi|^2``.
@@ -74,24 +72,21 @@ class CoefficientField:
     a11: object
     a12: object
     a22: object
-    a21: object = None
     bounds: tuple | None = None
-    quad_degree: int | None = None
-
-    def __post_init__(self):
-        if self.a21 is None:
-            object.__setattr__(self, "a21", self.a12)
 
     def entries(self, x, y, region=None):
-        """Evaluate all four entries, broadcast over the inputs."""
+        """Evaluate all four entries, broadcast over the inputs.
+
+        ``"12"`` and ``"21"`` are the same array, from one call of ``a12``.
+        """
         shape = np.broadcast(x, y).shape
-        out = {}
-        for key, fn in (("11", self.a11), ("12", self.a12), ("21", self.a21), ("22", self.a22)):
-            vals = np.asarray(fn(x, y, region=region), dtype=float)
-            out[key] = np.broadcast_to(vals, shape)
-        if not all(np.all(np.isfinite(v)) for v in out.values()):
+        a11, a12, a22 = (
+            np.broadcast_to(np.asarray(fn(x, y, region=region), dtype=float), shape)
+            for fn in (self.a11, self.a12, self.a22)
+        )
+        if not all(np.all(np.isfinite(v)) for v in (a11, a12, a22)):
             raise ValueError("coefficient evaluation returned a non-finite value")
-        return out
+        return {"11": a11, "12": a12, "21": a12, "22": a22}
 
 
 def constant_coefficients(matrix):
@@ -126,12 +121,21 @@ class SaddleSystem:
     S: sp.csr_matrix
     B: sp.csr_matrix
     F: np.ndarray
-    n_primal: int
-    n_mult: int
-    constrained: np.ndarray
     constrained_values: np.ndarray | None
     dofmap: object
     mesh: object
+
+    @property
+    def n_primal(self):
+        return self.dofmap.n_primal
+
+    @property
+    def n_mult(self):
+        return self.dofmap.n_mult
+
+    @property
+    def constrained(self):
+        return self.dofmap.constrained
 
     @property
     def n_total(self):
@@ -155,6 +159,44 @@ def _scatter(local, rows, cols, shape):
     return mat.tocsr()
 
 
+def _edge_jumps(mesh, dofmap):
+    """Edge weights and the boundary-mismatch operators of the stabilizer.
+
+    Returns ``(we, jumps)``: ``we`` (nt, 3, nq) are the element-edge
+    quadrature weights, and ``jumps`` yields ``(p, J)`` pairs in which
+    ``J`` (nt, 3, nq, nloc) maps an element-local DOF vector to one
+    mismatch at the edge quadrature points, weighted ``h_T**-p`` in the
+    stabilizer: ``d_c v0 - vg_c`` for c = x, y (p = 1), then ``v0 - vb``
+    (p = 3) outside the C0 variant.  The operators are built one by one
+    as the caller iterates, so the three are never held at once.
+    """
+    config = dofmap.config
+    k = config.k
+    layout = dofmap.layout
+    tb = get_tri_basis(mesh, k)
+    pe, we, Xg, Xb = _element_edge_traces(mesh, config)
+    shape = we.shape + (layout.nloc,)
+    # The C0 variant's v0 block holds nodal values, not modal coefficients.
+    trans = nodal_to_modal(mesh, k)[:, None] if config.c0_type else None
+
+    def jumps():
+        for comp, (dx, dy) in enumerate(((1, 0), (0, 1))):
+            J = np.zeros(shape)
+            grad = tb.eval(pe, dx=dx, dy=dy)
+            J[:, :, :, layout.v0] = grad if trans is None else grad @ trans
+            for ledge in range(3):
+                J[:, ledge, :, layout.vg(ledge, comp)] = -Xg[:, ledge]
+            yield 1, J
+        if not config.c0_type:
+            J = np.zeros(shape)
+            J[:, :, :, layout.v0] = tb.eval(pe)
+            for ledge in range(3):
+                J[:, ledge, :, layout.vb(ledge)] = -Xb[:, ledge]
+            yield 3, J
+
+    return we, jumps()
+
+
 def stabilizer_local_parts(mesh, dofmap):
     """Unweighted boundary-mismatch Gram blocks of the stabilizer.
 
@@ -162,53 +204,16 @@ def stabilizer_local_parts(mesh, dofmap):
     local stabilizer is ``h_T**-3 * jump0 + h_T**-1 * jump1``; ``jump0``
     is None in the C0 variant, where the value mismatch vanishes.
     """
-
-    def _build():
-        config = dofmap.config
-        k = config.k
-        layout = dofmap.layout
-        nt = mesh.n_triangles
-
-        tb = get_tri_basis(mesh, k)
-        epts, ew, t = get_edge_rule(mesh, GEOMETRY_EDGE_DEGREE(k))
-        g = mesh.tri_edges
-        pe = epts[g]
-        we = ew[g]
-        nq = t.shape[0]
-
-        Xg = get_edge_basis(mesh, k - 1).eval_ref(t)[g]
-        trans = nodal_to_modal(mesh, k) if config.c0_type else None
-
-        def v0_block(vals):
-            # vals: (nt, 3, nq, n0) in the orthonormal basis; in the C0
-            # variant re-express against nodal values.
-            return vals @ trans[:, None] if config.c0_type else vals
-
-        G = {
-            1: v0_block(tb.eval(pe, dx=1)),
-            2: v0_block(tb.eval(pe, dy=1)),
-        }
-
-        jump1 = np.zeros((nt, layout.nloc, layout.nloc))
-        for comp in (1, 2):
-            J = np.zeros((nt, 3, nq, layout.nloc))
-            J[:, :, :, layout.v0] = G[comp]
-            for ledge in range(3):
-                J[:, ledge, :, layout.vg(ledge, comp - 1)] = -Xg[:, ledge]
-            jump1 += np.einsum("etql,etqm,etq->elm", J, J, we, optimize=True)
-
-        if config.c0_type:
-            return None, jump1
-        T0 = tb.eval(pe)
-        Xb = get_edge_basis(mesh, k).eval_ref(t)[g]
-        J = np.zeros((nt, 3, nq, layout.nloc))
-        J[:, :, :, layout.v0] = T0
-        for ledge in range(3):
-            J[:, ledge, :, layout.vb(ledge)] = -Xb[:, ledge]
-        jump0 = np.einsum("etql,etqm,etq->elm", J, J, we, optimize=True)
-        return jump0, jump1
-
-    return mesh._memo(("stabilizer_parts", dofmap.config), _build)
+    we, jumps = _edge_jumps(mesh, dofmap)
+    nloc = dofmap.layout.nloc
+    jump0, jump1 = None, np.zeros((mesh.n_triangles, nloc, nloc))
+    for p, J in jumps:
+        gram = np.einsum("etql,etqm,etq->elm", J, J, we, optimize=True)
+        if p == 1:
+            jump1 += gram
+        else:
+            jump0 = gram
+    return jump0, jump1
 
 
 def stabilizer_energy(mesh, dofmap, primal):
@@ -217,44 +222,16 @@ def stabilizer_energy(mesh, dofmap, primal):
     Forms the boundary mismatches (interior trace minus independent
     trace unknown) at edge quadrature points, then squares — unlike the
     assembled quadratic form, no cancellation of large terms occurs, so
-    conforming inputs evaluate to a genuine floating-point zero.
+    conforming inputs give the square of a round-off mismatch, far below
+    the cancellation floor of ``v @ (S @ v)``.
     """
-    config = dofmap.config
-    k = config.k
-    primal = np.asarray(primal, dtype=float)
-    loc = dofmap.local_vectors(primal)
-    layout = dofmap.layout
-
-    tb = get_tri_basis(mesh, k)
-    epts, ew, t = get_edge_rule(mesh, GEOMETRY_EDGE_DEGREE(k))
-    g = mesh.tri_edges
-    pe = epts[g]
-    we = ew[g]
-    Xg = get_edge_basis(mesh, k - 1).eval_ref(t)[g]
-    u0 = dofmap.u0_coefficients(primal, mesh)
-
+    loc = dofmap.local_vectors(np.asarray(primal, dtype=float))
+    we, jumps = _edge_jumps(mesh, dofmap)
     energy = 0.0
-    for comp, (dx, dy) in ((0, (1, 0)), (1, (0, 1))):
-        dvals = np.einsum("etqn,en->etq", tb.eval(pe, dx=dx, dy=dy), u0, optimize=True)
-        gvals = np.zeros_like(dvals)
-        for ledge in range(3):
-            gvals[:, ledge] = np.einsum(
-                "eqm,em->eq", Xg[:, ledge], loc[:, layout.vg(ledge, comp)], optimize=True
-            )
-        jump = dvals - gvals
-        energy += float(np.sum((jump**2 * we) / mesh.h_t[:, None, None]))
-
-    if not config.c0_type:
-        vals0 = np.einsum("etqn,en->etq", tb.eval(pe), u0, optimize=True)
-        bvals = np.zeros_like(vals0)
-        Xb = get_edge_basis(mesh, k).eval_ref(t)[g]
-        for ledge in range(3):
-            bvals[:, ledge] = np.einsum(
-                "eqm,em->eq", Xb[:, ledge], loc[:, layout.vb(ledge)], optimize=True
-            )
-        jump = vals0 - bvals
-        energy += float(np.sum((jump**2 * we) / mesh.h_t[:, None, None] ** 3))
-    return float(energy)
+    for p, J in jumps:
+        jump = np.einsum("etql,el->etq", J, loc, optimize=True)
+        energy += float(np.sum((jump**2 * we) / mesh.h_t[:, None, None] ** p))
+    return energy
 
 
 def assemble_stabilizer(mesh, dofmap):
@@ -273,20 +250,18 @@ def assemble_stabilizer(mesh, dofmap):
     return mesh._memo(("stabilizer", dofmap.config), _build)
 
 
-def assemble_constraint(mesh, dofmap, coeff, f, quad_degree=None):
+def assemble_constraint(mesh, dofmap, coeff, f, quad_degree=DATA_DEGREE_DEFAULT):
     """Constraint block ``B`` and load vector ``F``.
 
     ``B[n, :] v`` equals ``sum_ij (a_ij D_ij(v), sigma_n)_T`` over the
     owning element of multiplier basis function ``sigma_n``;
     ``F[n] = (f, sigma_n)_T``.  Coefficients and ``f`` are evaluated at
     interior quadrature points as ``fn(x, y, region=region)`` with the
-    element region tags.
+    element region tags, by a rule of degree at least ``quad_degree``
+    and at least ``GEOMETRY_TRI_DEGREE(k)``.
     """
     config = dofmap.config
-    qd = quad_degree
-    if qd is None:
-        qd = coeff.quad_degree if coeff.quad_degree is not None else DATA_DEGREE_DEFAULT
-    qd = max(qd, GEOMETRY_TRI_DEGREE(config.k))
+    qd = max(quad_degree, GEOMETRY_TRI_DEGREE(config.k))
 
     hess = weak_hessian_local(mesh, config)
     sb = get_tri_basis(mesh, config.mult_degree)
@@ -314,16 +289,18 @@ def assemble_constraint(mesh, dofmap, coeff, f, quad_degree=None):
     return B, F
 
 
-def apply_dirichlet(system, g, dofmap, mesh, quad_degree=None):
+def apply_dirichlet(system, g, dofmap, mesh, quad_degree=DATA_DEGREE_DEFAULT):
     """Attach strongly-imposed boundary values to a system.
 
     General variant: every boundary-edge ``vb`` block is set to the
-    edge-wise L2 projection of ``g``.  C0 variant: boundary Lagrange
-    nodes are set to ``g`` at the node coordinates.  Returns a new
-    :class:`SaddleSystem`; elimination happens at solve time.
+    edge-wise L2 projection of ``g``, by a rule of degree at least
+    ``quad_degree`` and at least ``GEOMETRY_EDGE_DEGREE(k)``.  C0
+    variant: boundary Lagrange nodes are set to ``g`` at the node
+    coordinates.  Returns a new :class:`SaddleSystem`; elimination
+    happens at solve time.
     """
     k = dofmap.config.k
-    qd = quad_degree if quad_degree is not None else max(GEOMETRY_EDGE_DEGREE(k), DATA_DEGREE_DEFAULT)
+    qd = max(quad_degree, GEOMETRY_EDGE_DEGREE(k))
     values = np.zeros(dofmap.constrained.shape[0])
     if dofmap.config.c0_type:
         coords = dofmap.nodes.coords[dofmap.constrained]
@@ -344,30 +321,20 @@ def apply_dirichlet(system, g, dofmap, mesh, quad_degree=None):
     return replace(system, constrained_values=values)
 
 
-def build_saddle(mesh, config, problem, quad_degree=None):
+def build_saddle(mesh, config, problem):
     """Assemble the full saddle system of a problem on one mesh.
 
-    ``problem`` provides ``coeff`` (CoefficientField), ``f``, ``g`` and
-    optionally ``quad_degree``.
+    ``problem`` (a :class:`~pdwg.problems.ProblemSpec`) provides
+    ``coeff``, ``f``, ``g`` and ``quad_degree``, the degree of the data
+    integrals in ``B``, ``F`` and the boundary projection.
     """
     dofmap = build_dof_map(mesh, config)
-    qd = quad_degree
-    if qd is None:
-        qd = getattr(problem, "quad_degree", None)
     S = assemble_stabilizer(mesh, dofmap)
-    B, F = assemble_constraint(mesh, dofmap, problem.coeff, problem.f, quad_degree=qd)
-    system = SaddleSystem(
-        S=S,
-        B=B,
-        F=F,
-        n_primal=dofmap.n_primal,
-        n_mult=dofmap.n_mult,
-        constrained=dofmap.constrained,
-        constrained_values=None,
-        dofmap=dofmap,
-        mesh=mesh,
+    B, F = assemble_constraint(
+        mesh, dofmap, problem.coeff, problem.f, quad_degree=problem.quad_degree
     )
-    return apply_dirichlet(system, problem.g, dofmap, mesh, quad_degree=qd)
+    system = SaddleSystem(S=S, B=B, F=F, constrained_values=None, dofmap=dofmap, mesh=mesh)
+    return apply_dirichlet(system, problem.g, dofmap, mesh, quad_degree=problem.quad_degree)
 
 
 def dump_system(system, target):

@@ -45,7 +45,12 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ProblemSpec:
-    """One model problem: domain, tensor, data, and exact fields."""
+    """One model problem: domain, tensor, data, and exact fields.
+
+    ``quad_degree`` is the exactness degree of every data integral: the
+    constraint block and load vector, the boundary projection and the
+    error norms (each raised to the geometry degree of its integrand).
+    """
 
     name: str
     domain: DomainSpec
@@ -54,7 +59,7 @@ class ProblemSpec:
     g: object
     exact_u: object = None
     exact_grad_u: object = None
-    quad_degree: int | None = None
+    quad_degree: int = DATA_DEGREE_DEFAULT
     description: str = ""
 
 
@@ -116,7 +121,7 @@ def cordes_check(coeff, x, y, region=None):
     )
 
 
-def cordes_samples(domain, level=3, quad_degree=DATA_DEGREE_DEFAULT):
+def cordes_samples(domain, level=3):
     """Default sample cloud: all quadrature points of a level-``level`` mesh.
 
     Returns ``(x, y, region)`` arrays shaped (nt, nq); points are
@@ -126,7 +131,7 @@ def cordes_samples(domain, level=3, quad_degree=DATA_DEGREE_DEFAULT):
     mesh = build_initial_mesh(domain)
     for _ in range(level):
         mesh = refine_uniform(mesh)
-    pts, _ = get_element_rule(mesh, quad_degree)
+    pts, _ = get_element_rule(mesh, DATA_DEGREE_DEFAULT)
     region = np.broadcast_to(mesh.region_tags[:, None], pts.shape[:2])
     return pts[..., 0], pts[..., 1], region
 
@@ -182,7 +187,7 @@ def _p3():
     return ProblemSpec(
         name="p3",
         domain=DomainSpec.ref_square(),
-        coeff=CoefficientField(a11=a11, a12=a12, a22=a22, bounds=None, quad_degree=20),
+        coeff=CoefficientField(a11=a11, a12=a12, a22=a22, bounds=None),
         f=f,
         g=u,
         exact_u=u,
@@ -234,7 +239,7 @@ def _p4():
     return ProblemSpec(
         name="p4",
         domain=DomainSpec.ref_square(),
-        coeff=CoefficientField(a11=a11, a12=a12, a22=a11, bounds=(1.0, 3.0), quad_degree=20),
+        coeff=CoefficientField(a11=a11, a12=a12, a22=a11, bounds=(1.0, 3.0)),
         f=f,
         g=u,
         exact_u=u,
@@ -282,7 +287,7 @@ def _p5(name, domain_kind, description):
     return ProblemSpec(
         name=name,
         domain=DomainSpec(domain_kind),
-        coeff=CoefficientField(a11=a11, a12=a12, a22=a22, bounds=(1.0, 2.0), quad_degree=20),
+        coeff=CoefficientField(a11=a11, a12=a12, a22=a22, bounds=(1.0, 2.0)),
         f=f,
         g=u,
         exact_u=u,

@@ -356,6 +356,24 @@ class WeakHessianLocal:
     matrices: dict
 
 
+def _element_edge_traces(mesh, config):
+    """Edge quadrature of every element and the edge bases at its points.
+
+    Returns ``(pe, we, Xg, Xb)``: points (nt, 3, nq, 2) and weights
+    (nt, 3, nq) of the degree-``GEOMETRY_EDGE_DEGREE(k)`` rule on the
+    three edges of each element, in local edge order, and the degree
+    ``k - 1`` (``vg``) and degree ``k`` (``vb``) edge bases at those
+    points, (nt, 3, nq, dim).  ``Xb`` is None in the C0 variant, which
+    has no ``vb`` block.
+    """
+    k = config.k
+    epts, ew, t = get_edge_rule(mesh, GEOMETRY_EDGE_DEGREE(k))
+    g = mesh.tri_edges
+    Xg = get_edge_basis(mesh, k - 1).eval_ref(t)[g]
+    Xb = None if config.c0_type else get_edge_basis(mesh, k).eval_ref(t)[g]
+    return epts[g], ew[g], Xg, Xb
+
+
 def weak_hessian_local(mesh, config):
     """Assemble the discrete weak Hessian operators of all elements."""
 
@@ -369,15 +387,10 @@ def weak_hessian_local(mesh, config):
         tb = get_tri_basis(mesh, k)
         sb = get_tri_basis(mesh, sdeg)
         pts, w = get_element_rule(mesh, GEOMETRY_TRI_DEGREE(k))
-        epts, ew, t = get_edge_rule(mesh, GEOMETRY_EDGE_DEGREE(k))
-
-        g = mesh.tri_edges  # (nt, 3)
-        pe = epts[g]  # (nt, 3, nq, 2)
-        we = ew[g]
+        pe, we, Xg, Xb = _element_edge_traces(mesh, config)
         nrm = outward_normals(mesh)
 
         VS_tr = sb.eval(pe)
-        Xg = get_edge_basis(mesh, k - 1).eval_ref(t)[g]  # (nt, 3, nq, k)
         # <vg_i, phi n_j>: moment of every vg basis function against phi.
         Mg = np.einsum("etqm,etqr,etq->etmr", VS_tr, Xg, we, optimize=True)
 
@@ -387,7 +400,6 @@ def weak_hessian_local(mesh, config):
             V0d = {1: tb.eval(pts, dx=1), 2: tb.eval(pts, dy=1)}
         else:
             VS_d = {1: sb.eval(pe, dx=1), 2: sb.eval(pe, dy=1)}
-            Xb = get_edge_basis(mesh, k).eval_ref(t)[g]
             Mb = {
                 j: np.einsum("etqm,etqr,etq->etmr", VS_d[j], Xb, we, optimize=True)
                 for j in (1, 2)
@@ -435,7 +447,7 @@ def apply_weak_hessian(v_local, hess, i, j):
     return np.einsum("enl,el->en", H, v_local, optimize=True)
 
 
-def project_weak(mesh, config, w, grad_w, quad_degree=None):
+def project_weak(mesh, config, w, grad_w):
     """Componentwise L2 projection of a smooth function into the general space.
 
     Returns the global primal vector of ``{Q0 w, Qb w, Qg grad w}``.
@@ -447,13 +459,13 @@ def project_weak(mesh, config, w, grad_w, quad_degree=None):
     dof = build_dof_map(mesh, config)
     k = config.k
     primal = np.zeros(dof.n_primal)
-    primal[: dof.n_v0] = project_element(w, k, mesh, quad_degree).ravel()
-    primal[dof.vb_base : dof.vg_base] = project_edge(w, k, mesh, quad_degree).ravel()
-    primal[dof.vg_base :] = project_edge(grad_w, k - 1, mesh, quad_degree).ravel()
+    primal[: dof.n_v0] = project_element(w, k, mesh).ravel()
+    primal[dof.vb_base : dof.vg_base] = project_edge(w, k, mesh).ravel()
+    primal[dof.vg_base :] = project_edge(grad_w, k - 1, mesh).ravel()
     return primal
 
 
-def interpolate_weak(mesh, config, w, grad_w, quad_degree=None):
+def interpolate_weak(mesh, config, w, grad_w):
     """Nodal interpolant of ``w`` plus edge projection of its gradient.
 
     C0-variant counterpart of :func:`project_weak`: the interior field
@@ -466,5 +478,5 @@ def interpolate_weak(mesh, config, w, grad_w, quad_degree=None):
     coords = dof.nodes.coords
     primal = np.zeros(dof.n_primal)
     primal[: dof.n_v0] = np.asarray(w(coords[:, 0], coords[:, 1]), dtype=float)
-    primal[dof.vg_base :] = project_edge(grad_w, config.k - 1, mesh, quad_degree).ravel()
+    primal[dof.vg_base :] = project_edge(grad_w, config.k - 1, mesh).ravel()
     return primal

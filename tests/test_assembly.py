@@ -1,6 +1,7 @@
 """Coefficient fields, stabilizer, constraint block, and saddle systems."""
 
 import io
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -70,6 +71,24 @@ def test_nonfinite_coefficient_rejected(unit_meshes):
         bad.entries(np.array([0.5]), np.array([0.5]))
 
 
+def test_off_diagonal_entry_is_a12_alone():
+    # One a12 call serves both off-diagonal entries; there is no separate
+    # a21 that could make the tensor non-symmetric.
+    calls = []
+
+    def a12(x, y, region=None):
+        calls.append(region)
+        return 0.5 + 0.0 * x
+
+    one = lambda x, y, region=None: np.ones(np.broadcast(x, y).shape)
+    coeff = CoefficientField(a11=one, a12=a12, a22=one)
+    a = coeff.entries(np.array([0.1, 0.2]), np.array([0.3, 0.4]))
+    assert len(calls) == 1
+    assert np.array_equal(a["12"], a["21"])
+    with pytest.raises(TypeError):
+        CoefficientField(a11=one, a12=a12, a22=one, a21=a12)
+
+
 # -- stabilizer ---------------------------------------------------------------
 
 @pytest.mark.parametrize("c0", [False, True])
@@ -108,8 +127,8 @@ def test_stabilizer_energy_matches_matrix_form(unit_meshes, rng):
     # On generic (non-conforming) inputs the pointwise evaluation and the
     # assembled quadratic form agree to roundoff.
     mesh = unit_meshes[1]
-    for c0 in (False, True):
-        config = SpaceConfig(k=2, multiplier_space="pkm1", c0_type=c0)
+    for k, c0 in ((2, False), (2, True), (3, False), (3, True)):
+        config = SpaceConfig(k=k, multiplier_space="pkm1", c0_type=c0)
         dm = build_dof_map(mesh, config)
         S = assemble_stabilizer(mesh, dm)
         v = rng.standard_normal(dm.n_primal)
@@ -223,6 +242,24 @@ def test_rhs_layout(unit_meshes):
     assert rhs.shape == (system.n_primal + system.n_mult,)
     assert np.all(rhs[: system.n_primal] == 0.0)
     assert np.any(rhs[system.n_primal :] != 0.0)
+
+
+def test_problem_quad_degree_reaches_load_and_boundary_data(unit_meshes):
+    # ProblemSpec.quad_degree is the one data degree build_saddle uses for
+    # the load vector and the boundary projection.
+    mesh = unit_meshes[2]
+    config = SpaceConfig(k=2, multiplier_space="pkm1", c0_type=False)
+    loads = []
+    for d in (12, 20):
+        p = replace(builtin("p5"), quad_degree=d)
+        system = build_saddle(mesh, config, p)
+        dm = system.dofmap
+        _, F = assemble_constraint(mesh, dm, p.coeff, p.f, quad_degree=d)
+        assert np.array_equal(system.F, F)
+        fixed = apply_dirichlet(system, p.g, dm, mesh, quad_degree=d)
+        assert np.array_equal(system.constrained_values, fixed.constrained_values)
+        loads.append(system.F)
+    assert not np.array_equal(loads[0], loads[1])
 
 
 def test_dirichlet_zero_g(unit_meshes):

@@ -1,10 +1,12 @@
 """Command-line driver: flag validation, outputs, determinism, entry points."""
 
+import os
 import re
 import subprocess
 import sys
 from pathlib import Path
 
+import pdwg
 from pdwg.analysis import CSV_HEADER, LOGLOG_HEADER
 from pdwg.cli import build_parser, main
 
@@ -114,12 +116,18 @@ def test_dump_system(tmp_path, capsys):
 
 # -- external entry points -------------------------------------------------------
 
+def child_env():
+    """Environment in which a child interpreter imports this same ``pdwg``."""
+    return {**os.environ, "PYTHONPATH": str(Path(pdwg.__file__).resolve().parents[1])}
+
+
 def test_module_invocation(tmp_path):
     out = tmp_path / "m.csv"
     proc = subprocess.run(
         [sys.executable, "-m", "pdwg.cli", "--problem", "p1", "--levels", "2", "--out", str(out)],
         capture_output=True,
         text=True,
+        env=child_env(),
     )
     assert proc.returncode == 0, proc.stderr
     assert out.exists()
@@ -144,6 +152,7 @@ def test_console_script(tmp_path):
         [sys.executable, "-c", shim, "--problem", "p1", "--levels", "2", "--out", str(out)],
         capture_output=True,
         text=True,
+        env=child_env(),
     )
     assert proc.returncode == 0, proc.stderr
     assert out.exists()
@@ -155,6 +164,7 @@ def test_console_script_bad_flags_exit_2(tmp_path):
         [sys.executable, "-m", "pdwg.cli", "--problem", "p1", "--levels", "1"],
         capture_output=True,
         text=True,
+        env=child_env(),
     )
     assert proc.returncode == 2
     assert "levels must be" in proc.stderr
