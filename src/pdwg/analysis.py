@@ -89,9 +89,8 @@ class LevelErrors:
 def lagrange_interpolant(u, mesh, k=2):
     """Orthonormal coefficients of the degree-``k`` Lagrange interpolant."""
     nodes = lagrange_nodes(mesh, k)
-    vals = np.asarray(
-        u(nodes.element_coords[..., 0], nodes.element_coords[..., 1]), dtype=float
-    )
+    xy = nodes.coords[nodes.element_nodes]
+    vals = np.asarray(u(xy[..., 0], xy[..., 1]), dtype=float)
     return np.einsum("emn,en->em", nodal_to_modal(mesh, k), vals, optimize=True)
 
 

@@ -272,7 +272,7 @@ def assemble_constraint(mesh, dofmap, coeff, f, quad_degree=DATA_DEGREE_DEFAULT)
     VS = sb.eval(pts)
     a = coeff.entries(x, y, region)
     B_local = np.zeros((mesh.n_triangles, dofmap.ns, dofmap.layout.nloc))
-    for (i, j), H in hess.matrices.items():
+    for (i, j), H in hess.items():
         M = np.einsum("eqn,eqm,eq,eq->enm", VS, VS, a[f"{i}{j}"], w, optimize=True)
         B_local += M @ H
 
@@ -289,33 +289,31 @@ def assemble_constraint(mesh, dofmap, coeff, f, quad_degree=DATA_DEGREE_DEFAULT)
     return B, F
 
 
-def apply_dirichlet(system, g, dofmap, mesh, quad_degree=DATA_DEGREE_DEFAULT):
+def apply_dirichlet(system, g, quad_degree=DATA_DEGREE_DEFAULT):
     """Attach strongly-imposed boundary values to a system.
 
-    General variant: every boundary-edge ``vb`` block is set to the
-    edge-wise L2 projection of ``g``, by a rule of degree at least
-    ``quad_degree`` and at least ``GEOMETRY_EDGE_DEGREE(k)``.  C0
-    variant: boundary Lagrange nodes are set to ``g`` at the node
-    coordinates.  Returns a new :class:`SaddleSystem`; elimination
-    happens at solve time.
+    The constrained DOFs are those of ``system.dofmap`` on
+    ``system.mesh``.  General variant: every boundary-edge ``vb`` block
+    is set to the edge-wise L2 projection of ``g``, by a rule of degree
+    at least ``quad_degree`` and at least ``GEOMETRY_EDGE_DEGREE(k)``;
+    ``constrained`` lists these blocks edge by edge in the ascending
+    order of ``mesh.boundary_edges``.  C0 variant: boundary Lagrange
+    nodes are set to ``g`` at the node coordinates.  Returns a new
+    :class:`SaddleSystem`; elimination happens at solve time.
     """
+    dofmap, mesh = system.dofmap, system.mesh
     k = dofmap.config.k
-    qd = max(quad_degree, GEOMETRY_EDGE_DEGREE(k))
     values = np.zeros(dofmap.constrained.shape[0])
     if dofmap.config.c0_type:
         coords = dofmap.nodes.coords[dofmap.constrained]
         values[:] = np.asarray(g(coords[:, 0], coords[:, 1]), dtype=float)
     else:
         bedges = mesh.boundary_edges
-        if bedges.size:
-            basis = get_edge_basis(mesh, k)
-            pts, w, t = get_edge_rule(mesh, qd)
-            pts, w = pts[bedges], w[bedges]
-            gvals = np.asarray(g(pts[..., 0], pts[..., 1]), dtype=float)
-            X = basis.eval_ref(t)[bedges]
-            coeffs = np.einsum("eqn,eq,eq->en", X, gvals, w, optimize=True)
-            ids = dofmap.vb_base + bedges[:, None] * (k + 1) + np.arange(k + 1)[None, :]
-            values[np.searchsorted(dofmap.constrained, ids.ravel())] = coeffs.ravel()
+        pts, w, t = get_edge_rule(mesh, max(quad_degree, GEOMETRY_EDGE_DEGREE(k)))
+        pts, w = pts[bedges], w[bedges]
+        gvals = np.asarray(g(pts[..., 0], pts[..., 1]), dtype=float)
+        X = get_edge_basis(mesh, k).eval_ref(t)[bedges]
+        values[:] = np.einsum("eqn,eq,eq->en", X, gvals, w, optimize=True).ravel()
     if not np.all(np.isfinite(values)):
         raise ValueError("boundary data evaluation returned a non-finite value")
     return replace(system, constrained_values=values)
@@ -334,7 +332,7 @@ def build_saddle(mesh, config, problem):
         mesh, dofmap, problem.coeff, problem.f, quad_degree=problem.quad_degree
     )
     system = SaddleSystem(S=S, B=B, F=F, constrained_values=None, dofmap=dofmap, mesh=mesh)
-    return apply_dirichlet(system, problem.g, dofmap, mesh, quad_degree=problem.quad_degree)
+    return apply_dirichlet(system, problem.g, quad_degree=problem.quad_degree)
 
 
 def dump_system(system, target):

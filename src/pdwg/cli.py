@@ -3,8 +3,8 @@
 ``pdwg-study --problem p1`` solves the chosen problem on a hierarchy of
 uniformly refined meshes, prints one summary line per level, and writes
 the convergence table as CSV (plus a plot-ready ``*.loglog.csv``
-companion).  Exit codes: 0 on success, 2 on bad flags, 3 on solver
-failure.
+companion).  Exit codes: 0 on success, 2 on bad flags, 3 on a solver
+or basis failure.
 """
 
 from __future__ import annotations
@@ -105,6 +105,9 @@ def main(argv=None):
         table = run_study(problem, config, levels=args.levels, on_level=_grab)
     except SolverError as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
+        return 3
+    except ValueError as exc:  # e.g. a basis that cannot be built at this degree
+        print(f"study failure: {exc}", file=sys.stderr)
         return 3
 
     for line in table.summary_lines():

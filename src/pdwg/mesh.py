@@ -38,12 +38,36 @@ __all__ = [
 ]
 
 
-_DOMAIN_KINDS = ("unit_square", "ref_square", "l_shape")
+#: The built-in domains: initial vertices, CCW triangles, region tags
+#: and the CCW boundary polygon as vertex ids.  ``ref_square`` tags each
+#: quadrant by its row of ``_QUADRANT_SIGNS``.
+_DOMAINS = {
+    "unit_square": (
+        [[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]],
+        [[0, 1, 2], [0, 2, 3]],
+        [0, 0],
+        [0, 1, 2, 3],
+    ),
+    "ref_square": (
+        [[-1.0, -1.0], [0.0, -1.0], [1.0, -1.0],
+         [-1.0, 0.0], [0.0, 0.0], [1.0, 0.0],
+         [-1.0, 1.0], [0.0, 1.0], [1.0, 1.0]],
+        [[0, 1, 4], [0, 4, 3], [1, 2, 5], [1, 5, 4],
+         [3, 4, 7], [3, 7, 6], [4, 5, 8], [4, 8, 7]],
+        [2, 2, 3, 3, 1, 1, 0, 0],
+        [0, 2, 8, 6],
+    ),
+    # Reentrant corner at (1,1), fan-triangulated from the origin.
+    "l_shape": (
+        [[0.0, 0.0], [2.0, 0.0], [1.0, 1.0], [1.0, 2.0], [0.0, 2.0]],
+        [[0, 1, 2], [0, 2, 3], [0, 3, 4]],
+        [0, 0, 0],
+        [0, 1, 2, 3, 4],
+    ),
+}
 
-# Boundary polygon of the L-shaped domain (CCW, reentrant corner at (1,1)).
-_L_SHAPE_VERTICES = np.array(
-    [[0.0, 0.0], [2.0, 0.0], [1.0, 1.0], [1.0, 2.0], [0.0, 2.0]]
-)
+#: Coordinate signs ``(sgn x1, sgn x2)`` of each ``ref_square`` quadrant tag.
+_QUADRANT_SIGNS = np.array([[1.0, 1.0], [-1.0, 1.0], [-1.0, -1.0], [1.0, -1.0]])
 
 
 @dataclass(frozen=True)
@@ -53,31 +77,16 @@ class DomainSpec:
     kind: str
 
     def __post_init__(self):
-        if self.kind not in _DOMAIN_KINDS:
+        if self.kind not in _DOMAINS:
             raise ValueError(
-                f"unknown domain kind {self.kind!r}; expected one of {_DOMAIN_KINDS}"
+                f"unknown domain kind {self.kind!r}; expected one of {tuple(_DOMAINS)}"
             )
-
-    @classmethod
-    def unit_square(cls):
-        return cls("unit_square")
-
-    @classmethod
-    def ref_square(cls):
-        return cls("ref_square")
-
-    @classmethod
-    def l_shape(cls):
-        return cls("l_shape")
 
     @property
     def polygon(self):
         """CCW boundary polygon of the domain."""
-        if self.kind == "unit_square":
-            return np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
-        if self.kind == "ref_square":
-            return np.array([[-1.0, -1.0], [1.0, -1.0], [1.0, 1.0], [-1.0, 1.0]])
-        return _L_SHAPE_VERTICES.copy()
+        vertices, _, _, boundary = _DOMAINS[self.kind]
+        return np.array(vertices)[boundary]
 
     @property
     def area(self):
@@ -289,43 +298,16 @@ def build_initial_mesh(domain):
     if not isinstance(domain, DomainSpec):
         raise TypeError("domain must be a DomainSpec")
 
-    if domain.kind == "unit_square":
-        vertices = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
-        triangles = np.array([[0, 1, 2], [0, 2, 3]])
-        tags = np.zeros(2, dtype=np.int64)
-    elif domain.kind == "ref_square":
-        xs = np.array([-1.0, 0.0, 1.0])
-        gx, gy = np.meshgrid(xs, xs, indexing="xy")
-        vertices = np.column_stack([gx.ravel(), gy.ravel()])  # id = 3*j + i
-        tris = []
-        tags = []
-        for j in range(2):
-            for i in range(2):
-                a = 3 * j + i
-                b = a + 1
-                c = a + 4
-                d = a + 3
-                tris += [[a, b, c], [a, c, d]]
-                cx = xs[i] + 0.5
-                cy = xs[j] + 0.5
-                tags += [_quadrant_tag(cx, cy)] * 2
-        triangles = np.array(tris)
-        tags = np.array(tags, dtype=np.int64)
-    else:  # l_shape
-        vertices = _L_SHAPE_VERTICES.copy()
-        triangles = np.array([[0, 1, 2], [0, 2, 3], [0, 3, 4]])
-        tags = np.zeros(3, dtype=np.int64)
-
+    vertices, triangles, tags, _ = _DOMAINS[domain.kind]
     return extract_topology(
-        Mesh(vertices=vertices, triangles=triangles, region_tags=tags, level=0, domain=domain)
+        Mesh(
+            vertices=np.array(vertices),
+            triangles=np.array(triangles),
+            region_tags=np.array(tags),
+            level=0,
+            domain=domain,
+        )
     )
-
-
-def _quadrant_tag(x, y):
-    # 0: (+,+), 1: (-,+), 2: (-,-), 3: (+,-)
-    if y > 0:
-        return 0 if x > 0 else 1
-    return 2 if x < 0 else 3
 
 
 def ref_square_quadrant_signs(region):
@@ -335,10 +317,8 @@ def ref_square_quadrant_signs(region):
     2: (-,-), 3: (+,-).  Evaluators of coefficients that jump across the
     axes use the element's tag rather than the sign of a near-axis point.
     """
-    region = np.asarray(region)
-    s1 = np.where((region == 0) | (region == 3), 1.0, -1.0)
-    s2 = np.where(region <= 1, 1.0, -1.0)
-    return s1, s2
+    signs = _QUADRANT_SIGNS[np.asarray(region)]
+    return signs[..., 0], signs[..., 1]
 
 
 def refine_uniform(mesh):

@@ -145,7 +145,6 @@ class TriangleBasis:
     """
 
     def __init__(self, mesh, degree):
-        self.mesh = mesh
         self.degree = int(degree)
         self.exps = monomial_exponents(self.degree)
         self.dim = self.exps.shape[0]
@@ -155,22 +154,23 @@ class TriangleBasis:
         pts, w = _physical_element_rule(mesh, rule)
         V = self._vander(pts)
         gram = np.einsum("eqi,eqj,eq->eij", V, V, w, optimize=True)
+        cause = (
+            f"Gram matrix of the scaled-monomial basis of degree {self.degree} "
+            "is too ill-conditioned: an element is too flat or the degree too high"
+        )
         try:
             chol = np.linalg.cholesky(gram)
         except np.linalg.LinAlgError as exc:
-            raise ValueError(
-                "singular Gram matrix; mesh contains a (nearly) degenerate element"
-            ) from exc
+            raise ValueError(cause) from exc
         # The Cholesky diagonal bounds the Gram conditioning in the scaled
-        # monomial basis; on shape-regular elements the ratio is O(1).
+        # monomial basis; on shape-regular elements the ratio is O(1) for
+        # low degrees, but it decays with the degree on any element.
         diag = np.diagonal(chol, axis1=1, axis2=2)
         worst = np.min(diag, axis=1) / np.max(diag, axis=1)
         if np.any(worst**2 < 1e-14):
             bad = int(np.argmin(worst))
             raise ValueError(
-                "singular Gram matrix; mesh contains a (nearly) degenerate "
-                f"element (element {bad}, aspect too extreme for degree "
-                f"{self.degree})"
+                f"{cause} (element {bad}, Cholesky diagonal ratio {worst[bad]:.1e})"
             )
         # coeff[e] maps orthonormal coefficients to monomial coefficients.
         self.coeff = np.transpose(np.linalg.inv(chol), (0, 2, 1))
@@ -216,7 +216,6 @@ class EdgeBasis:
     """
 
     def __init__(self, mesh, degree):
-        self.mesh = mesh
         self.degree = int(degree)
         self.dim = self.degree + 1
         lengths = mesh.edge_lengths

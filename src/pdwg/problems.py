@@ -186,7 +186,7 @@ def _p3():
 
     return ProblemSpec(
         name="p3",
-        domain=DomainSpec.ref_square(),
+        domain=DomainSpec("ref_square"),
         coeff=CoefficientField(a11=a11, a12=a12, a22=a22, bounds=None),
         f=f,
         g=u,
@@ -238,7 +238,7 @@ def _p4():
 
     return ProblemSpec(
         name="p4",
-        domain=DomainSpec.ref_square(),
+        domain=DomainSpec("ref_square"),
         coeff=CoefficientField(a11=a11, a12=a12, a22=a11, bounds=(1.0, 3.0)),
         f=f,
         g=u,

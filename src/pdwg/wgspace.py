@@ -53,7 +53,6 @@ __all__ = [
     "build_dof_map",
     "lagrange_nodes",
     "nodal_to_modal",
-    "WeakHessianLocal",
     "weak_hessian_local",
     "apply_weak_hessian",
     "project_weak",
@@ -151,7 +150,6 @@ class LagrangeNodes:
     n_nodes: int
     coords: np.ndarray  # (n_nodes, 2)
     element_nodes: np.ndarray  # (nt, n0) global node ids, local order
-    element_coords: np.ndarray  # (nt, n0, 2)
     boundary_nodes: np.ndarray  # sorted ids of nodes on the domain boundary
 
 
@@ -187,18 +185,13 @@ def lagrange_nodes(mesh, k):
         n_nodes = nv + ne * per_edge + nt * n_int
 
         blocks = [mesh.triangles]
-        coord_blocks = [corners]
         for ledge in range(3):
             g = mesh.tri_edges[:, ledge]
-            ids = nv + g[:, None] * per_edge + np.arange(per_edge)[None, :]
-            blocks.append(ids)
-            coord_blocks.append(edge_coords[g])
+            blocks.append(nv + g[:, None] * per_edge + np.arange(per_edge)[None, :])
         if n_int:
             ids = nv + ne * per_edge + np.arange(nt)[:, None] * n_int + np.arange(n_int)[None, :]
             blocks.append(ids)
-            coord_blocks.append(int_coords)
         element_nodes = np.concatenate(blocks, axis=1).astype(np.int64)
-        element_coords = np.concatenate(coord_blocks, axis=1)
 
         bmask = np.zeros(n_nodes, dtype=bool)
         bmask[: nv][mesh.boundary_vertices] = True
@@ -210,7 +203,6 @@ def lagrange_nodes(mesh, k):
             n_nodes=n_nodes,
             coords=coords,
             element_nodes=element_nodes,
-            element_coords=element_coords,
             boundary_nodes=np.flatnonzero(bmask),
         )
 
@@ -223,7 +215,7 @@ def nodal_to_modal(mesh, k):
     def _build():
         nodes = lagrange_nodes(mesh, k)
         basis = get_tri_basis(mesh, k)
-        V = basis.eval(nodes.element_coords)  # (nt, n0, n0)
+        V = basis.eval(nodes.coords[nodes.element_nodes])  # (nt, n0, n0)
         return np.linalg.inv(V)
 
     return mesh._memo(("nodal_to_modal", k), _build)
@@ -305,11 +297,11 @@ def build_dof_map(mesh, config):
             vg_base = n_v0 + ne * (k + 1)
             n_primal = vg_base + ne * ng
             v0_cols = np.arange(n_v0, dtype=np.int64).reshape(nt, n0)
+            # Ascending because boundary_edges is; apply_dirichlet relies on it.
             bedges = mesh.boundary_edges
             constrained = (
                 vb_base + bedges[:, None] * (k + 1) + np.arange(k + 1)[None, :]
             ).ravel()
-            constrained = np.sort(constrained)
 
         cols = [v0_cols]
         if not config.c0_type:
@@ -342,20 +334,6 @@ def build_dof_map(mesh, config):
     return mesh._memo(("dofmap", config), _build)
 
 
-@dataclass(frozen=True)
-class WeakHessianLocal:
-    """Per-element matrices of the four discrete weak second derivatives.
-
-    ``matrices[(i, j)]`` has shape (nt, dim S, nloc) and maps the
-    element-local primal vector to the orthonormal coefficients of
-    ``D_ij`` in the multiplier space.
-    """
-
-    config: SpaceConfig
-    layout: LocalLayout
-    matrices: dict
-
-
 def _element_edge_traces(mesh, config):
     """Edge quadrature of every element and the edge bases at its points.
 
@@ -375,7 +353,12 @@ def _element_edge_traces(mesh, config):
 
 
 def weak_hessian_local(mesh, config):
-    """Assemble the discrete weak Hessian operators of all elements."""
+    """Per-element matrices of the four discrete weak second derivatives.
+
+    Returns a dict whose entry ``(i, j)`` has shape (nt, dim S, nloc) and
+    maps the element-local primal vector to the orthonormal coefficients
+    of ``D_ij`` in the multiplier space.  Memoized on the mesh.
+    """
 
     def _build():
         k = config.k
@@ -430,7 +413,7 @@ def weak_hessian_local(mesh, config):
                         nrm[:, ledge, j - 1, None, None] * Mg[:, ledge]
                     )
                 matrices[(i, j)] = H
-        return WeakHessianLocal(config=config, layout=layout, matrices=matrices)
+        return matrices
 
     return mesh._memo(("weak_hessian", config), _build)
 
@@ -438,9 +421,10 @@ def weak_hessian_local(mesh, config):
 def apply_weak_hessian(v_local, hess, i, j):
     """Coefficients of ``D_ij(v)`` from element-local DOF vectors.
 
-    ``v_local`` is (nloc,) or (nt, nloc); the result is (nt, dim S).
+    ``hess`` is the dict of :func:`weak_hessian_local`; ``v_local`` is
+    (nloc,) or (nt, nloc); the result is (nt, dim S).
     """
-    H = hess.matrices[(i, j)]
+    H = hess[(i, j)]
     v_local = np.asarray(v_local, dtype=float)
     if v_local.ndim == 1:
         v_local = np.broadcast_to(v_local, (H.shape[0], H.shape[2]))

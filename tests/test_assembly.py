@@ -1,6 +1,8 @@
 """Coefficient fields, stabilizer, constraint block, and saddle systems."""
 
+import gc
 import io
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -17,8 +19,8 @@ from pdwg.assembly import (
     dump_system,
     stabilizer_energy,
 )
-from pdwg.mesh import DomainSpec
-from pdwg.polyquad import get_element_rule, get_tri_basis, project_element
+from pdwg.mesh import DomainSpec, build_initial_mesh, refine_uniform
+from pdwg.polyquad import get_edge_basis, get_element_rule, get_tri_basis, project_element
 from pdwg.problems import builtin
 from pdwg.wgspace import (
     SpaceConfig,
@@ -256,7 +258,7 @@ def test_problem_quad_degree_reaches_load_and_boundary_data(unit_meshes):
         dm = system.dofmap
         _, F = assemble_constraint(mesh, dm, p.coeff, p.f, quad_degree=d)
         assert np.array_equal(system.F, F)
-        fixed = apply_dirichlet(system, p.g, dm, mesh, quad_degree=d)
+        fixed = apply_dirichlet(system, p.g, quad_degree=d)
         assert np.array_equal(system.constrained_values, fixed.constrained_values)
         loads.append(system.F)
     assert not np.array_equal(loads[0], loads[1])
@@ -267,7 +269,7 @@ def test_dirichlet_zero_g(unit_meshes):
     config = SpaceConfig(k=2, multiplier_space="pkm1", c0_type=True)
     system = build_saddle(mesh, config, builtin("p1"))
     zero = lambda x, y: np.zeros(np.shape(x))
-    fixed = apply_dirichlet(system, zero, system.dofmap, mesh)
+    fixed = apply_dirichlet(system, zero)
     assert np.all(fixed.constrained_values == 0.0)
     assert np.array_equal(fixed.rhs(), system.rhs())
 
@@ -277,7 +279,7 @@ def test_dirichlet_nodal_reproduction(unit_meshes):
     config = SpaceConfig(k=2, multiplier_space="pkm1", c0_type=True)
     p = builtin("p1")
     system = build_saddle(mesh, config, p)
-    fixed = apply_dirichlet(system, p.g, system.dofmap, mesh)
+    fixed = apply_dirichlet(system, p.g)
     nodes = system.dofmap.nodes
     coords = nodes.coords[nodes.boundary_nodes]
     assert np.abs(
@@ -292,12 +294,29 @@ def test_eliminated_system_symmetric(unit_meshes):
     config = SpaceConfig(k=2, multiplier_space="pkm1", c0_type=False)
     p = builtin("p1")
     system = build_saddle(mesh, config, p)
-    system = apply_dirichlet(system, p.g, system.dofmap, mesh)
+    system = apply_dirichlet(system, p.g)
     K_red, rhs_red, free_idx, con, vals = _eliminate(system)
     d = (K_red - K_red.T).tocoo()
     assert d.nnz == 0 or np.abs(d.data).max() < 1e-14
     # Constrained DOFs are gone from the reduced operator.
     assert K_red.shape[0] == system.n_total - con.size
+
+
+def test_mesh_freed_without_cycle_collection():
+    # Bases, DOF maps and operators memoized on a mesh hold no reference
+    # back to it, so a level of a study is freed as soon as the next level
+    # replaces it, without waiting for the cyclic garbage collector.
+    gc.disable()
+    try:
+        mesh = refine_uniform(build_initial_mesh(DomainSpec("unit_square")))
+        get_tri_basis(mesh, 2)
+        get_edge_basis(mesh, 1)
+        system = build_saddle(mesh, SpaceConfig(k=2), builtin("p1"))
+        alive = weakref.ref(mesh)
+        del mesh, system
+        assert alive() is None
+    finally:
+        gc.enable()
 
 
 def test_dump_system_roundtrip(unit_meshes, tmp_path):

@@ -98,6 +98,17 @@ def test_fully_discontinuous_variant(tmp_path, capsys):
     assert out.exists()
 
 
+def test_basis_failure_exits_3(tmp_path, capsys):
+    # Degree 8 is beyond the scaled-monomial element basis: the study stops
+    # with exit code 3 and one stderr line naming the degree.
+    out = tmp_path / "k8.csv"
+    assert main(["--problem", "p1", "--k", "8", "--levels", "2", "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert "degree 8" in err
+    assert len(err.strip().splitlines()) == 1
+    assert not out.exists()
+
+
 def test_dump_system(tmp_path, capsys):
     out = tmp_path / "s.csv"
     dump = tmp_path / "system.txt"

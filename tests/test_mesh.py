@@ -12,6 +12,7 @@ from pdwg.mesh import (
     dump_mesh,
     extract_topology,
     outward_normals,
+    ref_square_quadrant_signs,
     refine_uniform,
 )
 
@@ -58,6 +59,10 @@ def test_ref_square_vertices_and_tags(ref_meshes):
                  np.where((c[:, 0] < 0) & (c[:, 1] < 0), 2, 3)),
     )
     assert np.array_equal(tags, expect)
+    # The signs table agrees with the domain table's tags.
+    s1, s2 = ref_square_quadrant_signs(tags)
+    assert np.array_equal(s1, np.sign(c[:, 0]))
+    assert np.array_equal(s2, np.sign(c[:, 1]))
 
 
 def test_lshape_initial_fan(lshape_meshes):
@@ -154,8 +159,8 @@ def test_boundary_edge_count_unit_square(unit_meshes):
 
 
 def test_refinement_deterministic():
-    a = refine_uniform(build_initial_mesh(DomainSpec.unit_square()))
-    b = refine_uniform(build_initial_mesh(DomainSpec.unit_square()))
+    a = refine_uniform(build_initial_mesh(DomainSpec("unit_square")))
+    b = refine_uniform(build_initial_mesh(DomainSpec("unit_square")))
     assert np.array_equal(a.vertices, b.vertices)
     assert np.array_equal(a.triangles, b.triangles)
     assert np.array_equal(a.edges, b.edges)

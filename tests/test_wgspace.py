@@ -96,7 +96,12 @@ def test_lagrange_nodes_consistency(unit_meshes):
     mesh = unit_meshes[1]
     nodes = lagrange_nodes(mesh, 2)
     assert nodes.n_nodes == mesh.n_vertices + mesh.n_edges
-    assert np.allclose(nodes.coords[nodes.element_nodes], nodes.element_coords)
+    # Local order: the three corners, then the midpoint of local edge l
+    # (joining corners l and l + 1).
+    xy = nodes.coords[nodes.element_nodes]
+    c = mesh.corners
+    assert np.array_equal(xy[:, :3], c)
+    assert np.allclose(xy[:, 3:], 0.5 * (c + np.roll(c, -1, axis=1)))
     # Shared edge node ids appear in both adjacent elements.
     ids, counts = np.unique(nodes.element_nodes, return_counts=True)
     interior = ~mesh.is_boundary_edge
@@ -172,7 +177,7 @@ def test_weak_hessian_quadratic_exactness(unit_meshes, c0, ms):
 def test_weak_hessian_commutativity(ms):
     # Projected smooth data: weak Hessian of the projection equals the
     # projected true Hessian, coefficient by coefficient.
-    mesh = build_initial_mesh(DomainSpec.unit_square())
+    mesh = build_initial_mesh(DomainSpec("unit_square"))
     for _ in range(3):
         mesh = refine(mesh)
     w = lambda x, y: np.sin(x) * np.sin(y)
@@ -248,7 +253,7 @@ def test_weak_hessian_geometry_only(unit_meshes):
     mesh = unit_meshes[1]
     config = SpaceConfig(k=2, multiplier_space="pkm1", c0_type=True)
     h1 = weak_hessian_local(mesh, config)
-    snapshot = {key: m.copy() for key, m in h1.matrices.items()}
+    snapshot = {key: m.copy() for key, m in h1.items()}
 
     from pdwg.assembly import build_saddle, constant_coefficients
     from pdwg.problems import ProblemSpec, builtin
@@ -256,7 +261,7 @@ def test_weak_hessian_geometry_only(unit_meshes):
     build_saddle(mesh, config, builtin("p1"))
     alt = ProblemSpec(
         name="alt",
-        domain=DomainSpec.unit_square(),
+        domain=DomainSpec("unit_square"),
         coeff=constant_coefficients([[10.0, 0.0], [0.0, 1.0]]),
         f=lambda x, y, region=None: np.zeros(np.broadcast(x, y).shape),
         g=lambda x, y: np.zeros(np.broadcast(x, y).shape),
@@ -264,7 +269,7 @@ def test_weak_hessian_geometry_only(unit_meshes):
     build_saddle(mesh, config, alt)
     h2 = weak_hessian_local(mesh, config)
     for key in snapshot:
-        assert np.array_equal(h2.matrices[key], snapshot[key])
+        assert np.array_equal(h2[key], snapshot[key])
 
 
 def bound_constants(mesh, config):
@@ -287,7 +292,7 @@ def bound_constants(mesh, config):
     out = {}
     for i in (1, 2):
         for j in (1, 2):
-            H = hess.matrices[(i, j)]
+            H = hess[(i, j)]
             num = np.einsum("enl,enm->elm", H, H, optimize=True)
             Vd = tb.eval(pts, dx=(i == 1) + (j == 1), dy=(i == 2) + (j == 2))
             A00 = np.einsum("eqn,eqm,eq->enm", Vd, Vd, w, optimize=True)
@@ -309,7 +314,7 @@ def test_weak_hessian_bound_constant_under_refinement(rng):
     # strong Hessian of v0 plus the stabilizer, with a constant that does
     # not grow under refinement (element shapes are preserved, so the
     # sharp constant is level-independent).
-    mesh = build_initial_mesh(DomainSpec.unit_square())
+    mesh = build_initial_mesh(DomainSpec("unit_square"))
     config = SpaceConfig(k=2, multiplier_space="pkm1", c0_type=False)
     constants = []
     for lvl in range(4):
