@@ -150,12 +150,23 @@ class SaddleSystem:
         return np.concatenate([np.zeros(self.n_primal), self.F])
 
 
+#: Elements per step of the stabilizer's Gram contractions and local
+#: transposes.  Bounds their temporaries; each element's sums run in the
+#: same order as over the whole mesh, so it does not change a bit of ``S``.
+_GRAM_CHUNK = 1024
+
+
 def _scatter(local, rows, cols, shape):
-    """Accumulate per-element dense blocks into one CSR matrix."""
-    nt, a, b = local.shape
-    r = np.repeat(rows[:, :, None], b, axis=2)
-    c = np.repeat(cols[:, None, :], a, axis=1)
-    mat = sp.coo_matrix((local.ravel(), (r.ravel(), c.ravel())), shape=shape)
+    """Accumulate per-element dense blocks into one CSR matrix.
+
+    The row and column index arrays are built directly in the index type
+    that ``coo_matrix`` keeps (int32 unless ``shape`` needs more), so the
+    COO stage holds no wider copy of them.
+    """
+    idx = np.int32 if max(shape) <= np.iinfo(np.int32).max else np.int64
+    r = np.broadcast_to(rows.astype(idx)[:, :, None], local.shape).ravel()
+    c = np.broadcast_to(cols.astype(idx)[:, None, :], local.shape).ravel()
+    mat = sp.coo_matrix((local.ravel(), (r, c)), shape=shape)
     return mat.tocsr()
 
 
@@ -205,14 +216,18 @@ def stabilizer_local_parts(mesh, dofmap):
     is None in the C0 variant, where the value mismatch vanishes.
     """
     we, jumps = _edge_jumps(mesh, dofmap)
-    nloc = dofmap.layout.nloc
-    jump0, jump1 = None, np.zeros((mesh.n_triangles, nloc, nloc))
+    nt, nloc = mesh.n_triangles, dofmap.layout.nloc
+    jump0, jump1 = None, np.zeros((nt, nloc, nloc))
     for p, J in jumps:
-        gram = np.einsum("etql,etqm,etq->elm", J, J, we, optimize=True)
-        if p == 1:
-            jump1 += gram
-        else:
-            jump0 = gram
+        if p == 3:
+            jump0 = np.empty_like(jump1)
+        for start in range(0, nt, _GRAM_CHUNK):
+            e = slice(start, start + _GRAM_CHUNK)
+            gram = np.einsum("etql,etqm,etq->elm", J[e], J[e], we[e], optimize=True)
+            if p == 1:
+                jump1[e] += gram
+            else:
+                jump0[e] = gram
     return jump0, jump1
 
 
@@ -235,17 +250,42 @@ def stabilizer_energy(mesh, dofmap, primal):
 
 
 def assemble_stabilizer(mesh, dofmap):
-    """Global stabilizer matrix S (symmetric PSD, CSR)."""
+    """Global stabilizer matrix S (symmetric PSD, CSR).  Memoized on the mesh.
+
+    Each element block ``h**-3 * jump0 + h**-1 * jump1`` is averaged
+    with its transpose, the blocks are scattered, and the scattered
+    matrix is averaged with its transpose; exact zeros of that sum are
+    dropped.  Every step runs in place on the Gram blocks of
+    :func:`stabilizer_local_parts` or on the scattered matrix, so no
+    second set of blocks is ever held: the scratch memory is the
+    scatter's int32 index arrays, the COO-to-CSR conversion and one
+    transposed copy of S.
+    """
 
     def _build():
-        jump0, jump1 = stabilizer_local_parts(mesh, dofmap)
+        jump0, local = stabilizer_local_parts(mesh, dofmap)
         h = mesh.h_t[:, None, None]
-        local = jump1 / h if jump0 is None else jump0 / h**3 + jump1 / h
-        local = 0.5 * (local + np.transpose(local, (0, 2, 1)))
+        local /= h
+        if jump0 is not None:
+            jump0 /= h**3
+            jump0 += local
+            local = jump0
+        for start in range(0, mesh.n_triangles, _GRAM_CHUNK):
+            block = local[start : start + _GRAM_CHUNK]
+            block += block.transpose(0, 2, 1).copy()
+            block *= 0.5
         S = _scatter(local, dofmap.element_primal, dofmap.element_primal,
                      (dofmap.n_primal, dofmap.n_primal))
-        # Symmetrize exactly; scatter order must not break S == S.T.
-        return 0.5 * (S + S.T).tocsr()
+        del local
+        # Rows and columns scatter through the same ids, so S and S.T
+        # share one sorted pattern and their data line up entry by entry.
+        T = S.T.tocsr()
+        T.sort_indices()
+        S.data += T.data
+        del T
+        S.eliminate_zeros()
+        S.data *= 0.5
+        return S
 
     return mesh._memo(("stabilizer", dofmap.config), _build)
 

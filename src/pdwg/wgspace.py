@@ -362,7 +362,7 @@ def weak_hessian_local(mesh, config):
 
     def _build():
         k = config.k
-        layout = LocalLayout(k, config.c0_type)
+        layout = build_dof_map(mesh, config).layout
         sdeg = config.mult_degree
         ns = space_dim(sdeg)
         nt = mesh.n_triangles

@@ -1,4 +1,4 @@
-"""Shared fixtures: mesh hierarchies and a session-wide study cache."""
+"""Shared fixtures (mesh hierarchies, a session-wide study cache) and helpers."""
 
 import numpy as np
 import pytest
@@ -7,6 +7,24 @@ from pdwg.analysis import run_study
 from pdwg.mesh import DomainSpec, build_initial_mesh, refine_uniform
 from pdwg.problems import builtin
 from pdwg.wgspace import SpaceConfig
+
+
+def assert_csr_bitwise_equal(got, want):
+    """Assert two CSR matrices hold the same bits.
+
+    Compares shape, nnz, the dtypes and values of ``indptr`` and
+    ``indices``, and the int64 view of ``data``, so a flipped sign of
+    zero or a NaN payload counts as a difference.
+    """
+    assert got.format == want.format == "csr"
+    assert got.shape == want.shape
+    assert got.nnz == want.nnz
+    for name in ("indptr", "indices", "data"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype, name
+        if name == "data":
+            a, b = a.view(np.int64), b.view(np.int64)
+        np.testing.assert_array_equal(a, b, err_msg=name)
 
 
 def mesh_hierarchy(kind, levels):

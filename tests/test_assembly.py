@@ -2,6 +2,7 @@
 
 import gc
 import io
+import tracemalloc
 import weakref
 from dataclasses import replace
 
@@ -10,7 +11,9 @@ import pytest
 import scipy.sparse as sp
 
 from pdwg.assembly import (
+    _GRAM_CHUNK,
     CoefficientField,
+    _edge_jumps,
     apply_dirichlet,
     assemble_constraint,
     assemble_stabilizer,
@@ -18,6 +21,7 @@ from pdwg.assembly import (
     constant_coefficients,
     dump_system,
     stabilizer_energy,
+    stabilizer_local_parts,
 )
 from pdwg.mesh import DomainSpec, build_initial_mesh, refine_uniform
 from pdwg.polyquad import get_edge_basis, get_element_rule, get_tri_basis, project_element
@@ -29,6 +33,8 @@ from pdwg.wgspace import (
     project_weak,
     weak_hessian_local,
 )
+
+from conftest import assert_csr_bitwise_equal, mesh_hierarchy
 
 A_CONST = [[3.0, 1.0], [1.0, 2.0]]
 
@@ -151,6 +157,62 @@ def test_stabilizer_decay_on_smooth_data(unit_meshes):
         vals.append(v @ (S @ v))
     rates = np.log2(np.array(vals[:-1]) / np.array(vals[1:]))
     assert rates[-1] == pytest.approx(2.0, abs=0.25)
+
+
+def stabilizer_whole_array(mesh, dm):
+    """S by the whole-array formula: one einsum per mismatch over every
+    element, an int64 COO scatter and the global ``0.5 * (S + S.T)``."""
+    we, jumps = _edge_jumps(mesh, dm)
+    nloc = dm.layout.nloc
+    jump0, jump1 = None, np.zeros((mesh.n_triangles, nloc, nloc))
+    for p, J in jumps:
+        gram = np.einsum("etql,etqm,etq->elm", J, J, we, optimize=True)
+        if p == 1:
+            jump1 += gram
+        else:
+            jump0 = gram
+    h = mesh.h_t[:, None, None]
+    local = jump1 / h if jump0 is None else jump0 / h**3 + jump1 / h
+    local = 0.5 * (local + np.transpose(local, (0, 2, 1)))
+    nt, a, b = local.shape
+    rows = np.repeat(dm.element_primal[:, :, None], b, axis=2)
+    cols = np.repeat(dm.element_primal[:, None, :], a, axis=1)
+    n = dm.n_primal
+    scattered = sp.coo_matrix((local.ravel(), (rows.ravel(), cols.ravel())), shape=(n, n))
+    scattered = scattered.tocsr()
+    return (0.5 * (scattered + scattered.T)).tocsr()
+
+
+@pytest.mark.parametrize("c0", [True, False])
+def test_stabilizer_bitwise_equals_whole_array_formula(c0):
+    # More elements than one Gram chunk: the chunked contractions and the
+    # in-place averaging must give the whole-array S bit for bit,
+    # including the exact zeros that the sparse sum drops.
+    mesh = mesh_hierarchy("unit_square", 5)[-1]  # p5's domain, fresh memo
+    assert mesh.n_triangles > _GRAM_CHUNK
+    config = SpaceConfig(k=2, multiplier_space="pkm1" if c0 else "pkm2", c0_type=c0)
+    dm = build_dof_map(mesh, config)
+    S = assemble_stabilizer(mesh, dm)
+    assert_csr_bitwise_equal(S, stabilizer_whole_array(mesh, dm))
+    assert (S != S.T).nnz == 0
+
+
+def test_stabilizer_scratch_memory_bounded():
+    # Peak traced allocation while building S, in units of its finished
+    # local blocks (nt * nloc**2 float64): 9.2 with whole-array Gram
+    # blocks, combination, int64 scatter indices and sparse sum; 3.9
+    # with chunked Gram blocks, in-place arithmetic and int32 indices.
+    mesh = mesh_hierarchy("unit_square", 5)[-1]  # p5's domain, fresh memo
+    dm = build_dof_map(mesh, SpaceConfig(k=2, multiplier_space="pkm2", c0_type=False))
+    stabilizer_local_parts(mesh, dm)  # builds the bases and rules S reads
+    tracemalloc.start()
+    try:
+        assemble_stabilizer(mesh, dm)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    blocks = mesh.n_triangles * dm.layout.nloc**2 * 8
+    assert peak <= 5.0 * blocks
 
 
 # -- constraint block ----------------------------------------------------------

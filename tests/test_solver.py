@@ -134,6 +134,17 @@ def test_missing_boundary_values_raises(unit_meshes):
         solve(stripped)
 
 
+@pytest.mark.parametrize("c0", [True, False])
+def test_singular_system_raises_solver_error(unit_meshes, c0):
+    # With S = 0 nothing penalizes the primal directions in the kernel of
+    # B, which has fewer rows than there are free primal unknowns, so the
+    # factorization meets an exactly zero pivot.
+    config = SpaceConfig(k=2, multiplier_space="pkm1", c0_type=c0)
+    system = build_saddle(unit_meshes[1], config, builtin("p1"))
+    with pytest.raises(SolverError, match="sparse factorization failed"):
+        solve(replace(system, S=0 * system.S))
+
+
 def test_solve_deterministic(unit_meshes):
     mesh = unit_meshes[2]
     config = SpaceConfig(k=2, multiplier_space="pkm1", c0_type=True)
