@@ -27,6 +27,7 @@ usual rate.
 from __future__ import annotations
 
 import io
+import logging
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,6 +42,7 @@ from .polyquad import (
     get_tri_basis,
     project_edge,
 )
+from .problems import cordes_check, cordes_samples
 from .solver import solve
 from .wgspace import (
     SpaceConfig,
@@ -61,6 +63,8 @@ __all__ = [
     "discrete_norms",
     "run_study",
 ]
+
+log = logging.getLogger("pdwg")
 
 CSV_HEADER = "level,inv_h,e0,e0_order,eg,eg_order,gamma,gamma_order,e0_true,s_energy"
 LOGLOG_HEADER = "h,e0,eg,gamma"
@@ -333,11 +337,24 @@ def run_study(problem, config=None, levels=6, on_level=None):
     Returns
     -------
     ConvergenceTable
+
+    The tensor is sampled once on ``cordes_samples(problem.domain)``; if
+    it breaks the Cordes condition there, one warning naming the problem,
+    the cause and the worst point goes to ``logging.getLogger("pdwg")``
+    and the study still runs.
     """
     if config is None:
         config = SpaceConfig()
     if levels < 2:
         raise ValueError("levels must be >= 2")
+    cordes = cordes_check(problem.coeff, *cordes_samples(problem.domain))
+    if not cordes.satisfied:
+        log.warning(
+            "problem %s breaks the Cordes condition: %s (worst point %s)",
+            problem.name,
+            cordes.message or f"sampled epsilon {cordes.epsilon:.3g} <= 0",
+            cordes.worst_point,
+        )
     mesh = build_initial_mesh(problem.domain)
     rows = []
     for lvl in range(levels):

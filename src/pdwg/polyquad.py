@@ -136,6 +136,25 @@ def _falling(exps, order):
     return out
 
 
+def _powers(z, top):
+    """``z**p`` for ``p = 0..top`` along a new last axis.
+
+    The entries are bitwise those of ``z[..., None] ** p`` with an integer
+    exponent array, which numpy evaluates in its vectorized float ``pow``
+    loop.  ``p = 0`` and ``p = 1`` are exact without ``pow`` (``1.0`` and
+    ``z``).  Every ``p >= 2`` passes a full float exponent array: a scalar
+    or one-element exponent (``z**2``) takes numpy's ``square`` fast path,
+    which is not ``pow`` and rounds about 1 % of the entries differently.
+    """
+    out = np.empty(z.shape + (top + 1,))
+    out[..., 0] = 1.0
+    if top >= 1:
+        out[..., 1] = z
+    for p in range(2, top + 1):
+        out[..., p] = np.power(z, np.full(z.shape, float(p)))
+    return out
+
+
 class TriangleBasis:
     """Per-element orthonormal bases of ``P_degree`` over a whole mesh.
 
@@ -176,18 +195,27 @@ class TriangleBasis:
         self.coeff = np.transpose(np.linalg.inv(chol), (0, 2, 1))
 
     def _vander(self, pts, dx=0, dy=0):
+        """Scaled-monomial (derivative) values, ``(nt, ..., dim)``.
+
+        Column ``(a, b)`` is ``fac * xi**(a - dx) * eta**(b - dy)`` divided
+        by ``h**(dx + dy)``, with exponents clipped at 0 where ``fac`` is 0.
+        Each power is looked up in one table per axis (see ``_powers``)
+        instead of being recomputed for every column; the bits are those of
+        the one-``pow``-per-column formula.
+        """
         extra = pts.ndim - 2
         c = self.centers.reshape((-1,) + (1,) * extra + (2,))
         s = self.scales.reshape((-1,) + (1,) * extra)
         xi = (pts[..., 0] - c[..., 0]) / s
         eta = (pts[..., 1] - c[..., 1]) / s
-        a = self.exps[:, 0]
-        b = self.exps[:, 1]
-        fac = _falling(a, dx) * _falling(b, dy)
-        V = fac * xi[..., None] ** np.maximum(a - dx, 0) * eta[..., None] ** np.maximum(b - dy, 0)
-        if dx or dy:
-            V = V / s[..., None] ** (dx + dy)
-        return V
+        a = np.maximum(self.exps[:, 0] - dx, 0)
+        b = np.maximum(self.exps[:, 1] - dy, 0)
+        X = _powers(xi, a.max())[..., a]
+        Y = _powers(eta, b.max())[..., b]
+        if not (dx or dy):
+            return X * Y  # the factor is all ones
+        fac = _falling(self.exps[:, 0], dx) * _falling(self.exps[:, 1], dy)
+        return fac * X * Y / s[..., None] ** (dx + dy)
 
     def eval(self, pts, dx=0, dy=0):
         """Basis (derivative) values at points.

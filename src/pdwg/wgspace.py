@@ -235,7 +235,6 @@ class DofMap:
     """
 
     config: SpaceConfig
-    layout: LocalLayout
     n_primal: int
     n_mult: int
     n_v0: int
@@ -246,6 +245,11 @@ class DofMap:
     vb_base: int | None
     vg_base: int
     nodes: LagrangeNodes | None
+
+    @property
+    def layout(self):
+        """Column layout of the element-local primal vector (a function of ``config``)."""
+        return LocalLayout(self.config.k, self.config.c0_type)
 
     def local_vectors(self, primal):
         """Gather (nt, nloc) element-local vectors from a global vector."""
@@ -275,7 +279,6 @@ def build_dof_map(mesh, config):
     """Build the :class:`DofMap` of a mesh/config pair (memoized)."""
 
     def _build():
-        layout = LocalLayout(config.k, config.c0_type)
         k = config.k
         nt, ne = mesh.n_triangles, mesh.n_edges
         ns = space_dim(config.mult_degree)
@@ -291,7 +294,7 @@ def build_dof_map(mesh, config):
             constrained = nodes.boundary_nodes
         else:
             nodes = None
-            n0 = layout.n0
+            n0 = space_dim(k)
             n_v0 = nt * n0
             vb_base = n_v0
             vg_base = n_v0 + ne * (k + 1)
@@ -318,7 +321,6 @@ def build_dof_map(mesh, config):
         )
         return DofMap(
             config=config,
-            layout=layout,
             n_primal=n_primal,
             n_mult=nt * ns,
             n_v0=n_v0,

@@ -1,6 +1,8 @@
 """Error norms, discrete norms, convergence tables, and the study driver."""
 
+import logging
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -213,6 +215,21 @@ def test_norm_equivalence_stable_under_refinement(unit_meshes, rng):
 def test_run_study_rejects_single_level():
     with pytest.raises(ValueError, match="levels must be >= 2"):
         run_study(builtin("p1"), levels=1)
+
+
+def test_run_study_warns_on_cordes_violation(caplog):
+    indefinite = replace(builtin("p1"), name="indefinite", coeff=constant_coefficients([[1, 2], [2, 1]]))
+    with caplog.at_level(logging.WARNING, logger="pdwg"):
+        run_study(indefinite, levels=2)
+    (record,) = caplog.records
+    assert record.name == "pdwg" and record.levelno == logging.WARNING
+    assert "indefinite" in record.getMessage()
+    assert "epsilon -0.6" in record.getMessage()
+    assert "worst point" in record.getMessage()
+    caplog.clear()
+    with caplog.at_level(logging.WARNING, logger="pdwg"):
+        run_study(builtin("p1"), levels=2)
+    assert caplog.records == []
 
 
 @pytest.fixture(scope="module")

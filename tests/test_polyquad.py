@@ -1,11 +1,12 @@
 """Quadrature rules, orthonormal bases, and L2 projections."""
 
-from math import factorial
+from math import factorial, perm
 
 import numpy as np
 import pytest
 
 from pdwg.polyquad import (
+    GEOMETRY_EDGE_DEGREE,
     MAX_EXACT_DEGREE,
     edge_quadrature,
     eval_edge_poly,
@@ -109,6 +110,73 @@ def test_edge_basis_orthonormal(unit_meshes):
         gram = np.einsum("eqm,eqn,eq->emn", X, X, w)
         eye = np.broadcast_to(np.eye(deg + 1), gram.shape)
         assert np.allclose(gram, eye, atol=1e-12)
+
+
+DERIVATIVES = [(0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2)]
+
+
+def test_vander_bitwise_equals_power_formula(unit_meshes):
+    """The power tables reproduce the one-``pow``-per-column formula bit for bit.
+
+    Guards against a numpy upgrade moving the ``pow`` route (its SIMD loop,
+    libm, or the ``square`` fast path) under one of the two spellings.
+    """
+
+    def formula(basis, pts, dx, dy):
+        extra = pts.ndim - 2
+        c = basis.centers.reshape((-1,) + (1,) * extra + (2,))
+        s = basis.scales.reshape((-1,) + (1,) * extra)
+        xi = (pts[..., 0] - c[..., 0]) / s
+        eta = (pts[..., 1] - c[..., 1]) / s
+        a, b = basis.exps[:, 0], basis.exps[:, 1]
+        fac = np.array([perm(i, dx) * perm(j, dy) for i, j in basis.exps], dtype=float)
+        V = fac * xi[..., None] ** np.maximum(a - dx, 0) * eta[..., None] ** np.maximum(b - dy, 0)
+        if dx or dy:
+            V = V / s[..., None] ** (dx + dy)
+        return V
+
+    mesh = unit_meshes[4]
+    point_sets = [get_element_rule(mesh, qd)[0] for qd in (6, 12, 20)]
+    for k in (2, 5):
+        point_sets.append(get_edge_rule(mesh, GEOMETRY_EDGE_DEGREE(k))[0][mesh.tri_edges])
+    for deg in range(6):
+        basis = get_tri_basis(mesh, deg)
+        for pts in point_sets:
+            for dx, dy in DERIVATIVES:
+                got = basis._vander(pts, dx=dx, dy=dy)
+                want = formula(basis, pts, dx, dy)
+                assert got.shape == want.shape and got.dtype == want.dtype
+                np.testing.assert_array_equal(
+                    got.view(np.int64), want.view(np.int64), err_msg=f"{deg} {dx} {dy} {pts.shape}"
+                )
+
+
+@pytest.mark.parametrize("deg", [1, 2, 3, 4])
+def test_element_poly_derivatives_analytic(unit_meshes, deg):
+    mesh = unit_meshes[2]
+    exps = monomial_exponents(deg)
+    c = np.random.default_rng(deg).standard_normal(len(exps))
+
+    def poly(x, y, dx=0, dy=0):
+        out = np.zeros(np.shape(x))
+        for (a, b), ca in zip(exps, c):
+            if a >= dx and b >= dy:
+                out += ca * perm(a, dx) * perm(b, dy) * x ** (a - dx) * y ** (b - dy)
+        return out
+
+    coeffs = project_element(poly, deg, mesh)
+    pts, _ = get_element_rule(mesh, 7)
+    x, y = pts[..., 0], pts[..., 1]
+    for dx, dy in DERIVATIVES:
+        got = eval_element_poly(mesh, deg, coeffs, pts, dx=dx, dy=dy)
+        want = poly(x, y, dx, dy)
+        scale = np.max(np.abs(want))
+        if scale == 0.0:
+            assert np.all(got == 0.0), (dx, dy)
+        else:
+            assert np.max(np.abs(got - want)) <= 1e-10 * scale, (dx, dy)
+    for dx, dy in [(deg + 1, 0), (0, deg + 1), (deg, 1)]:
+        assert np.all(eval_element_poly(mesh, deg, coeffs, pts, dx=dx, dy=dy) == 0.0), (dx, dy)
 
 
 def test_degenerate_element_rejected():
