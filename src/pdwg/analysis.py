@@ -38,6 +38,7 @@ from .polyquad import (
     DATA_DEGREE_DEFAULT,
     GEOMETRY_TRI_DEGREE,
     _edge_points,
+    eval_element_poly,
     get_element_rule,
     get_tri_basis,
     project_edge,
@@ -126,23 +127,26 @@ def _edge_weights(mesh):
     return w
 
 
-def error_norms(sol, problem, system=None):
+def error_norms(sol, problem):
     """All error norms of one solution against the problem's exact fields.
 
+    Mesh, DOF map and stabilizer are those of ``sol.system``.
     ``e0_true`` and the ``eb`` projection integrate at degree
     ``max(problem.quad_degree, GEOMETRY_TRI_DEGREE(k))``.
     """
     if problem.exact_u is None or problem.exact_grad_u is None:
         raise ValueError("problem has no exact solution to compare against")
-    mesh, dofmap = sol.mesh, sol.dofmap
+    system = sol.system
+    mesh, dofmap = system.mesh, system.dofmap
     k = dofmap.config.k
     qd = max(problem.quad_degree, GEOMETRY_TRI_DEGREE(k))
 
+    u0 = sol.u0
     ih = lagrange_interpolant(problem.exact_u, mesh, k)
-    e0 = float(np.linalg.norm(sol.u0 - ih))
+    e0 = float(np.linalg.norm(u0 - ih))
 
     pts, w = get_element_rule(mesh, qd)
-    diff = sol.eval_u0(pts) - problem.exact_u(pts[..., 0], pts[..., 1])
+    diff = eval_element_poly(mesh, k, u0, pts) - problem.exact_u(pts[..., 0], pts[..., 1])
     e0_true = float(np.sqrt(np.sum(w * diff**2)))
 
     wsum = _edge_weights(mesh)
@@ -151,15 +155,13 @@ def error_norms(sol, problem, system=None):
     eg = float(np.sqrt(np.sum(wsum * np.sum(dg**2, axis=(1, 2)))))
 
     eb = None
-    if sol.ub is not None:
+    if not dofmap.config.c0_type:
         qb = project_edge(problem.exact_u, k, mesh, qd)
         db = sol.ub - qb
         eb = float(np.sqrt(np.sum(wsum * np.sum(db**2, axis=1))))
 
     gamma = float(np.linalg.norm(sol.lam_vec))
-
-    S = system.S if system is not None else assemble_stabilizer(mesh, dofmap)
-    s_energy = float(sol.primal @ (S @ sol.primal))
+    s_energy = float(sol.primal @ (system.S @ sol.primal))
 
     return LevelErrors(
         level=mesh.level,
@@ -331,8 +333,9 @@ def run_study(problem, config=None, levels=6, on_level=None):
         Number of meshes (the initial mesh plus ``levels - 1``
         refinements); must be at least 2 so orders can be observed.
     on_level : callable, optional
-        Called as ``on_level(mesh, system, solution, row)`` after each
-        level solves; useful for dumping systems or progress reporting.
+        Called as ``on_level(solution, row)`` after each level solves;
+        ``solution.system`` holds that level's mesh and system.  Useful
+        for dumping systems or progress reporting.
 
     Returns
     -------
@@ -360,10 +363,9 @@ def run_study(problem, config=None, levels=6, on_level=None):
     for lvl in range(levels):
         if lvl > 0:
             mesh = refine_uniform(mesh)
-        system = build_saddle(mesh, config, problem)
-        sol = solve(system)
-        row = error_norms(sol, problem, system=system)
+        sol = solve(build_saddle(mesh, config, problem))
+        row = error_norms(sol, problem)
         rows.append(row)
         if on_level is not None:
-            on_level(mesh, system, sol, row)
+            on_level(sol, row)
     return ConvergenceTable(problem_name=problem.name, config=config, rows=tuple(rows))

@@ -24,7 +24,7 @@ solve time, their contributions moved to the right-hand side.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -113,15 +113,16 @@ class SaddleSystem:
 
     ``S`` is exactly symmetric positive semidefinite, ``B`` is the
     constraint block, ``F`` the multiplier right-hand side.  The
-    ``constrained`` primal DOFs carry ``constrained_values`` once
-    :func:`apply_dirichlet` ran; the solver eliminates them
+    ``constrained`` primal DOFs carry ``constrained_values``, the
+    boundary data of :func:`apply_dirichlet`; the solver eliminates them
     symmetrically and moves their columns to the right-hand side.
+    :func:`build_saddle` builds a complete system in one step.
     """
 
     S: sp.csr_matrix
     B: sp.csr_matrix
     F: np.ndarray
-    constrained_values: np.ndarray | None
+    constrained_values: np.ndarray
     dofmap: object
     mesh: object
 
@@ -329,19 +330,17 @@ def assemble_constraint(mesh, dofmap, coeff, f, quad_degree=DATA_DEGREE_DEFAULT)
     return B, F
 
 
-def apply_dirichlet(system, g, quad_degree=DATA_DEGREE_DEFAULT):
-    """Attach strongly-imposed boundary values to a system.
+def apply_dirichlet(dofmap, mesh, g, quad_degree=DATA_DEGREE_DEFAULT):
+    """Strongly-imposed boundary values of the constrained DOFs.
 
-    The constrained DOFs are those of ``system.dofmap`` on
-    ``system.mesh``.  General variant: every boundary-edge ``vb`` block
-    is set to the edge-wise L2 projection of ``g``, by a rule of degree
-    at least ``quad_degree`` and at least ``GEOMETRY_EDGE_DEGREE(k)``;
-    ``constrained`` lists these blocks edge by edge in the ascending
-    order of ``mesh.boundary_edges``.  C0 variant: boundary Lagrange
-    nodes are set to ``g`` at the node coordinates.  Returns a new
-    :class:`SaddleSystem`; elimination happens at solve time.
+    Returns one value per entry of ``dofmap.constrained``.  General
+    variant: every boundary-edge ``vb`` block is the edge-wise L2
+    projection of ``g``, by a rule of degree at least ``quad_degree``
+    and at least ``GEOMETRY_EDGE_DEGREE(k)``; ``constrained`` lists
+    these blocks edge by edge in the ascending order of
+    ``mesh.boundary_edges``.  C0 variant: boundary Lagrange nodes take
+    ``g`` at the node coordinates.  Elimination happens at solve time.
     """
-    dofmap, mesh = system.dofmap, system.mesh
     k = dofmap.config.k
     values = np.zeros(dofmap.constrained.shape[0])
     if dofmap.config.c0_type:
@@ -356,7 +355,7 @@ def apply_dirichlet(system, g, quad_degree=DATA_DEGREE_DEFAULT):
         values[:] = np.einsum("eqn,eq,eq->en", X, gvals, w, optimize=True).ravel()
     if not np.all(np.isfinite(values)):
         raise ValueError("boundary data evaluation returned a non-finite value")
-    return replace(system, constrained_values=values)
+    return values
 
 
 def build_saddle(mesh, config, problem):
@@ -364,15 +363,16 @@ def build_saddle(mesh, config, problem):
 
     ``problem`` (a :class:`~pdwg.problems.ProblemSpec`) provides
     ``coeff``, ``f``, ``g`` and ``quad_degree``, the degree of the data
-    integrals in ``B``, ``F`` and the boundary projection.
+    integrals in ``B``, ``F`` and the boundary projection.  The
+    returned system is complete, boundary values included.
     """
     dofmap = build_dof_map(mesh, config)
     S = assemble_stabilizer(mesh, dofmap)
     B, F = assemble_constraint(
         mesh, dofmap, problem.coeff, problem.f, quad_degree=problem.quad_degree
     )
-    system = SaddleSystem(S=S, B=B, F=F, constrained_values=None, dofmap=dofmap, mesh=mesh)
-    return apply_dirichlet(system, problem.g, quad_degree=problem.quad_degree)
+    values = apply_dirichlet(dofmap, mesh, problem.g, quad_degree=problem.quad_degree)
+    return SaddleSystem(S=S, B=B, F=F, constrained_values=values, dofmap=dofmap, mesh=mesh)
 
 
 def dump_system(system, target):

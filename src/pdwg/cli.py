@@ -98,8 +98,8 @@ def main(argv=None):
 
     final = {}
 
-    def _grab(mesh, system, sol, row):
-        final["system"] = system
+    def _grab(sol, row):
+        final["sol"] = sol
 
     try:
         table = run_study(problem, config, levels=args.levels, on_level=_grab)
@@ -115,7 +115,7 @@ def main(argv=None):
     table.to_csv(args.out)
     table.to_loglog_csv(_loglog_path(args.out))
     if args.dump_system:
-        dump_system(final["system"], args.dump_system)
+        dump_system(final["sol"].system, args.dump_system)
     return 0
 
 

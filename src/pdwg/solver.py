@@ -28,45 +28,46 @@ class SolverError(RuntimeError):
 
 @dataclass(frozen=True)
 class WgSolution:
-    """Solution fields of one solve.
+    """The solved system and its two unknowns.
 
-    ``u0`` holds per-element orthonormal coefficients of the interior
-    field, ``ub`` per-edge trace coefficients (None in the C0 variant),
-    ``ug`` per-edge gradient coefficients shaped (ne, 2, k), ``lam`` the
-    multiplier coefficients.  ``primal`` is the raw global vector with
-    boundary values reinstated.
+    ``primal`` is the global primal vector with boundary values
+    reinstated, ``lam_vec`` the multiplier vector.  ``u0``, ``ub`` and
+    ``ug`` read the interior, trace and gradient fields from ``primal``
+    through ``system.dofmap`` (see :class:`~pdwg.wgspace.DofMap`).
     """
 
-    u0: np.ndarray
-    ub: np.ndarray | None
-    ug: np.ndarray
-    lam: np.ndarray
+    system: object
     primal: np.ndarray
     lam_vec: np.ndarray
     residual_norm: float
-    mesh: object
-    dofmap: object
+
+    @property
+    def u0(self):
+        return self.system.dofmap.u0_coefficients(self.primal, self.system.mesh)
+
+    @property
+    def ub(self):
+        return self.system.dofmap.ub_coefficients(self.primal)
+
+    @property
+    def ug(self):
+        return self.system.dofmap.ug_coefficients(self.primal)
 
     def eval_u0(self, pts, dx=0, dy=0):
         """Evaluate the interior field (or derivatives) at (nt, ..., 2) points."""
-        return eval_element_poly(self.mesh, self.dofmap.config.k, self.u0, pts, dx=dx, dy=dy)
+        mesh, k = self.system.mesh, self.system.dofmap.config.k
+        return eval_element_poly(mesh, k, self.u0, pts, dx=dx, dy=dy)
 
 
 def _eliminate(system):
-    K = system.block_matrix()
-    rhs = system.rhs()
-    n = system.n_total
-    con = np.asarray(system.constrained, dtype=np.int64)
-    vals = system.constrained_values
-    if vals is None:
-        vals = np.zeros(con.shape[0])
-    free = np.ones(n, dtype=bool)
+    con = system.constrained
+    free = np.ones(system.n_total, dtype=bool)
     free[con] = False
     free_idx = np.flatnonzero(free)
-    K_csc = K.tocsc()
-    rhs_red = rhs[free_idx] - K_csc[:, con][free_idx, :] @ vals
+    K_csc = system.block_matrix().tocsc()
+    rhs_red = system.rhs()[free_idx] - K_csc[:, con][free_idx, :] @ system.constrained_values
     K_red = K_csc[:, free_idx][free_idx, :].tocsc()
-    return K_red, rhs_red, free_idx, con, vals
+    return K_red, rhs_red, free_idx
 
 
 def solve(system):
@@ -78,16 +79,13 @@ def solve(system):
     Parameters
     ----------
     system : SaddleSystem
-        Must have boundary values attached (``constrained_values``).
+        Its ``constrained`` DOFs are fixed to ``constrained_values``.
 
     Returns
     -------
     WgSolution
     """
-    if system.constrained_values is None and system.constrained.size:
-        raise ValueError("system has constrained DOFs without boundary values; "
-                         "run apply_dirichlet first")
-    K_red, rhs_red, free_idx, con, vals = _eliminate(system)
+    K_red, rhs_red, free_idx = _eliminate(system)
     rhs_norm = float(np.linalg.norm(rhs_red))
 
     try:
@@ -116,19 +114,10 @@ def solve(system):
 
     full = np.zeros(system.n_total)
     full[free_idx] = x
-    full[con] = vals
-    primal = full[: system.n_primal]
-    lam_vec = full[system.n_primal :]
-
-    dofmap, mesh = system.dofmap, system.mesh
+    full[system.constrained] = system.constrained_values
     return WgSolution(
-        u0=dofmap.u0_coefficients(primal, mesh),
-        ub=dofmap.ub_coefficients(primal, mesh),
-        ug=dofmap.ug_coefficients(primal, mesh),
-        lam=lam_vec.reshape(mesh.n_triangles, dofmap.ns),
-        primal=primal,
-        lam_vec=lam_vec,
+        system=system,
+        primal=full[: system.n_primal],
+        lam_vec=full[system.n_primal :],
         residual_norm=rel,
-        mesh=mesh,
-        dofmap=dofmap,
     )

@@ -146,11 +146,13 @@ class LagrangeNodes:
     ordered from the lower-id endpoint, then per-element interior nodes.
     """
 
-    k: int
-    n_nodes: int
     coords: np.ndarray  # (n_nodes, 2)
     element_nodes: np.ndarray  # (nt, n0) global node ids, local order
     boundary_nodes: np.ndarray  # sorted ids of nodes on the domain boundary
+
+    @property
+    def n_nodes(self):
+        return self.coords.shape[0]
 
 
 def lagrange_nodes(mesh, k):
@@ -199,8 +201,6 @@ def lagrange_nodes(mesh, k):
         ids = nv + bedges[:, None] * per_edge + np.arange(per_edge)[None, :]
         bmask[ids.ravel()] = True
         return LagrangeNodes(
-            k=k,
-            n_nodes=n_nodes,
             coords=coords,
             element_nodes=element_nodes,
             boundary_nodes=np.flatnonzero(bmask),
@@ -231,25 +231,43 @@ class DofMap:
     blocks.  Multiplier unknowns are numbered separately, one block of
     ``dim S`` per element.  Constrained DOFs are the boundary-edge
     ``vb`` blocks (general) or the boundary Lagrange nodes (C0); the
-    gradient blocks ``vg`` are never constrained.
+    gradient blocks ``vg`` are never constrained.  Only what cannot be
+    derived is stored; the rest are properties.
     """
 
     config: SpaceConfig
     n_primal: int
-    n_mult: int
-    n_v0: int
-    ns: int
     element_primal: np.ndarray  # (nt, nloc)
-    element_mult: np.ndarray  # (nt, ns)
     constrained: np.ndarray  # sorted global primal ids
-    vb_base: int | None
     vg_base: int
-    nodes: LagrangeNodes | None
+    nodes: LagrangeNodes | None  # C0 variant only
 
     @property
     def layout(self):
         """Column layout of the element-local primal vector (a function of ``config``)."""
         return LocalLayout(self.config.k, self.config.c0_type)
+
+    @property
+    def ns(self):
+        return space_dim(self.config.mult_degree)
+
+    @property
+    def n_mult(self):
+        return self.element_primal.shape[0] * self.ns
+
+    @property
+    def element_mult(self):  # (nt, ns)
+        return np.arange(self.n_mult, dtype=np.int64).reshape(-1, self.ns)
+
+    @property
+    def n_v0(self):
+        if self.config.c0_type:
+            return self.nodes.n_nodes
+        return self.element_primal.shape[0] * self.layout.n0
+
+    @property
+    def vb_base(self):
+        return None if self.config.c0_type else self.n_v0
 
     def local_vectors(self, primal):
         """Gather (nt, nloc) element-local vectors from a global vector."""
@@ -264,15 +282,15 @@ class DofMap:
         n0 = self.layout.n0
         return np.asarray(primal)[: self.n_v0].reshape(-1, n0)
 
-    def ub_coefficients(self, primal, mesh):
+    def ub_coefficients(self, primal):
+        """Per-edge trace coefficients (ne, k + 1); None in the C0 variant."""
         if self.config.c0_type:
             return None
-        nb = self.config.k + 1
-        return np.asarray(primal)[self.vb_base : self.vb_base + mesh.n_edges * nb].reshape(-1, nb)
+        return np.asarray(primal)[self.vb_base : self.vg_base].reshape(-1, self.layout.nb)
 
-    def ug_coefficients(self, primal, mesh):
-        ng = self.config.k
-        return np.asarray(primal)[self.vg_base :].reshape(mesh.n_edges, 2, ng)
+    def ug_coefficients(self, primal):
+        """Per-edge gradient coefficients (ne, 2, k)."""
+        return np.asarray(primal)[self.vg_base :].reshape(-1, 2, self.layout.ng)
 
 
 def build_dof_map(mesh, config):
@@ -281,25 +299,19 @@ def build_dof_map(mesh, config):
     def _build():
         k = config.k
         nt, ne = mesh.n_triangles, mesh.n_edges
-        ns = space_dim(config.mult_degree)
         ng = 2 * k  # per-edge gradient block
 
         if config.c0_type:
             nodes = lagrange_nodes(mesh, k)
-            n_v0 = nodes.n_nodes
-            vb_base = None
-            vg_base = n_v0
-            n_primal = n_v0 + ne * ng
+            vg_base = nodes.n_nodes
             v0_cols = nodes.element_nodes
             constrained = nodes.boundary_nodes
         else:
             nodes = None
             n0 = space_dim(k)
-            n_v0 = nt * n0
-            vb_base = n_v0
-            vg_base = n_v0 + ne * (k + 1)
-            n_primal = vg_base + ne * ng
-            v0_cols = np.arange(n_v0, dtype=np.int64).reshape(nt, n0)
+            vb_base = nt * n0
+            vg_base = vb_base + ne * (k + 1)
+            v0_cols = np.arange(vb_base, dtype=np.int64).reshape(nt, n0)
             # Ascending because boundary_edges is; apply_dirichlet relies on it.
             bedges = mesh.boundary_edges
             constrained = (
@@ -314,21 +326,11 @@ def build_dof_map(mesh, config):
         for ledge in range(3):
             g = mesh.tri_edges[:, ledge]
             cols.append(vg_base + g[:, None] * ng + np.arange(ng)[None, :])
-        element_primal = np.concatenate(cols, axis=1).astype(np.int64)
-
-        element_mult = (
-            np.arange(nt, dtype=np.int64)[:, None] * ns + np.arange(ns)[None, :]
-        )
         return DofMap(
             config=config,
-            n_primal=n_primal,
-            n_mult=nt * ns,
-            n_v0=n_v0,
-            ns=ns,
-            element_primal=element_primal,
-            element_mult=element_mult,
+            n_primal=vg_base + ne * ng,
+            element_primal=np.concatenate(cols, axis=1).astype(np.int64),
             constrained=np.asarray(constrained, dtype=np.int64),
-            vb_base=vb_base,
             vg_base=vg_base,
             nodes=nodes,
         )
@@ -390,6 +392,8 @@ def weak_hessian_local(mesh, config):
                 for j in (1, 2)
             }
             V0 = tb.eval(pts)
+            # v0 block by (dx, dy) of the multiplier basis; D_12 and D_21 share one.
+            H0 = {}
 
         matrices = {}
         for i in (1, 2):
@@ -403,9 +407,11 @@ def weak_hessian_local(mesh, config):
                 else:
                     dx = (i == 1) + (j == 1)
                     dy = (i == 2) + (j == 2)
-                    H[:, :, layout.v0] = np.einsum(
-                        "eqm,eql,eq->eml", sb.eval(pts, dx=dx, dy=dy), V0, w, optimize=True
-                    )
+                    if (dx, dy) not in H0:
+                        H0[dx, dy] = np.einsum(
+                            "eqm,eql,eq->eml", sb.eval(pts, dx=dx, dy=dy), V0, w, optimize=True
+                        )
+                    H[:, :, layout.v0] = H0[dx, dy]
                     for ledge in range(3):
                         H[:, :, layout.vb(ledge)] -= (
                             nrm[:, ledge, i - 1, None, None] * Mb[j][:, ledge]

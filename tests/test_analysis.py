@@ -116,9 +116,8 @@ def test_error_norms_quadratic_solution(unit_meshes, c0):
     mesh = unit_meshes[1]
     prob = quadratic_problem()
     config = SpaceConfig(k=2, multiplier_space="pkm1", c0_type=c0)
-    system = build_saddle(mesh, config, prob)
-    sol = solve(system)
-    errs = error_norms(sol, prob, system=system)
+    sol = solve(build_saddle(mesh, config, prob))
+    errs = error_norms(sol, prob)
     assert errs.e0 <= 1e-9
     assert errs.e0_true <= 1e-9
     assert errs.eg <= 1e-9
@@ -143,17 +142,13 @@ def test_error_norms_requires_exact_solution(unit_meshes):
         error_norms(sol, replace(prob, exact_u=None, exact_grad_u=None))
 
 
-def test_error_norms_system_reuse_consistent(unit_meshes):
-    mesh = unit_meshes[1]
+@pytest.mark.parametrize("c0", [True, False], ids=["c0", "general"])
+def test_error_norms_equals_study_row(unit_meshes, c0):
+    # One solve on a fresh level-1 mesh gives the study's last row bit for bit.
     prob = builtin("p1")
-    config = SpaceConfig()
-    system = build_saddle(mesh, config, prob)
-    sol = solve(system)
-    with_sys = error_norms(sol, prob, system=system)
-    without = error_norms(sol, prob)
-    assert with_sys.s_energy == pytest.approx(without.s_energy, rel=1e-12)
-    assert with_sys.e0 == without.e0
-    assert with_sys.eg == without.eg
+    config = SpaceConfig(c0_type=c0)
+    direct = error_norms(solve(build_saddle(unit_meshes[1], config, prob)), prob)
+    assert direct == run_study(prob, config, levels=2).rows[-1]
 
 
 # -- discrete norms -------------------------------------------------------------
@@ -306,7 +301,7 @@ def test_on_level_callback_sees_every_level():
         builtin("p1"),
         SpaceConfig(),
         levels=2,
-        on_level=lambda mesh, system, sol, row: seen.append((mesh.level, row.level)),
+        on_level=lambda sol, row: seen.append((sol.system.mesh.level, row.level)),
     )
     assert seen == [(0, 0), (1, 1)]
 

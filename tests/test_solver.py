@@ -102,12 +102,26 @@ def test_solution_fields_shapes(unit_meshes):
     assert sol.u0.shape == (mesh.n_triangles, 6)
     assert sol.ub.shape == (mesh.n_edges, 3)
     assert sol.ug.shape == (mesh.n_edges, 2, 2)
-    assert sol.lam.shape[0] == mesh.n_triangles
+    assert sol.lam_vec.shape == (mesh.n_triangles * 3,)
 
     c0 = SpaceConfig(k=2, multiplier_space="pkm1", c0_type=True)
     sol = solve(build_saddle(mesh, c0, prob))
     assert sol.ub is None
     assert sol.u0.shape == (mesh.n_triangles, 6)
+
+
+@pytest.mark.parametrize("c0", [True, False], ids=["c0", "general"])
+def test_solution_fields_are_views_of_primal(unit_meshes, c0):
+    # The solution stores the solved system and its two unknowns once;
+    # the trace fields are read from ``primal``, never copied.
+    config = SpaceConfig(k=2, multiplier_space="pkm1", c0_type=c0)
+    system = build_saddle(unit_meshes[1], config, builtin("p1"))
+    sol = solve(system)
+    assert sol.system is system
+    assert np.shares_memory(sol.ug, sol.primal)
+    if not c0:
+        assert np.shares_memory(sol.ub, sol.primal)
+        assert np.shares_memory(sol.u0, sol.primal)
 
 
 def test_error_decreases_under_refinement(unit_meshes):
@@ -124,15 +138,6 @@ def test_error_decreases_under_refinement(unit_meshes):
 
 
 # -- failure modes and determinism ---------------------------------------------
-
-def test_missing_boundary_values_raises(unit_meshes):
-    mesh = unit_meshes[1]
-    config = SpaceConfig(k=2, multiplier_space="pkm1", c0_type=True)
-    system = build_saddle(mesh, config, builtin("p1"))
-    stripped = replace(system, constrained_values=None)
-    with pytest.raises(ValueError, match="apply_dirichlet"):
-        solve(stripped)
-
 
 @pytest.mark.parametrize("c0", [True, False])
 def test_singular_system_raises_solver_error(unit_meshes, c0):

@@ -209,7 +209,7 @@ def c0_to_general_local(mesh, primal, config_c0):
     k = config_c0.k
     dm = build_dof_map(mesh, config_c0)
     u0 = dm.u0_coefficients(primal, mesh)
-    ug = dm.ug_coefficients(primal, mesh)
+    ug = dm.ug_coefficients(primal)
     layout = LocalLayout(k, False)
     loc = np.zeros((mesh.n_triangles, layout.nloc))
     loc[:, layout.v0] = u0
@@ -357,8 +357,8 @@ def test_project_weak_components(unit_meshes):
     grad = lambda x, y: np.stack([np.exp(x) * np.cos(y), -np.exp(x) * np.sin(y)])
     vec = project_weak(mesh, config, w, grad)
     assert np.allclose(dm.u0_coefficients(vec, mesh), project_element(w, 2, mesh))
-    assert np.allclose(dm.ub_coefficients(vec, mesh), project_edge(w, 2, mesh))
-    assert np.allclose(dm.ug_coefficients(vec, mesh), project_edge(grad, 1, mesh))
+    assert np.allclose(dm.ub_coefficients(vec), project_edge(w, 2, mesh))
+    assert np.allclose(dm.ug_coefficients(vec), project_edge(grad, 1, mesh))
 
 
 def test_interpolate_weak_nodal_values(unit_meshes):
