@@ -34,7 +34,6 @@ from .mesh import (
     Mesh,
     build_initial_mesh,
     dump_mesh,
-    extract_topology,
     outward_normals,
     refine_uniform,
 )
@@ -80,7 +79,6 @@ __all__ = [
     "Mesh",
     "build_initial_mesh",
     "dump_mesh",
-    "extract_topology",
     "outward_normals",
     "refine_uniform",
     "QuadratureRule",

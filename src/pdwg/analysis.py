@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .assembly import assemble_stabilizer, build_saddle
+from .assembly import build_saddle, stabilizer_energy
 from .mesh import _write_text, build_initial_mesh, refine_uniform
 from .polyquad import (
     DATA_DEGREE_DEFAULT,
@@ -192,7 +192,8 @@ def discrete_norms(primal, mesh, config, coeff):
     ``norm_2h`` uses the multiplier-space projection of
     ``sum_ij a_ij d2 v0 / dx_i dx_j`` element by element; ``triple_norm``
     replaces the projected strong Hessian with the discrete weak Hessian
-    of the full triplet.  Both include the stabilizer energy.
+    of the full triplet.  Both include the stabilizer energy, summed from
+    squared pointwise jumps by :func:`~pdwg.assembly.stabilizer_energy`.
     """
     dofmap = build_dof_map(mesh, config)
     qd = max(GEOMETRY_TRI_DEGREE(config.k), DATA_DEGREE_DEFAULT)
@@ -224,10 +225,9 @@ def discrete_norms(primal, mesh, config, coeff):
     # Project the strong combination onto the multiplier space per element.
     strong_coeff = np.einsum("eqn,eq,eq->en", VS, strong_vals, w, optimize=True)
 
-    S = assemble_stabilizer(mesh, dofmap)
-    s_energy = float(primal @ (S @ primal))
-    norm_2h = float(np.sqrt(np.sum(strong_coeff**2) + max(s_energy, 0.0)))
-    triple = float(np.sqrt(np.sum(w * weak_vals**2) + max(s_energy, 0.0)))
+    s_energy = stabilizer_energy(mesh, dofmap, primal)
+    norm_2h = float(np.sqrt(np.sum(strong_coeff**2) + s_energy))
+    triple = float(np.sqrt(np.sum(w * weak_vals**2) + s_energy))
     return NormReport(norm_2h=norm_2h, triple_norm=triple, s_energy=s_energy)
 
 
@@ -368,4 +368,6 @@ def run_study(problem, config=None, levels=6, on_level=None):
         rows.append(row)
         if on_level is not None:
             on_level(sol, row)
+        # Free this level's system and solution before the next is built.
+        del sol
     return ConvergenceTable(problem_name=problem.name, config=config, rows=tuple(rows))

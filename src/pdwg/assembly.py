@@ -107,7 +107,7 @@ def constant_coefficients(matrix):
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SaddleSystem:
     """Assembled block system plus Dirichlet bookkeeping.
 
@@ -251,7 +251,7 @@ def stabilizer_energy(mesh, dofmap, primal):
 
 
 def assemble_stabilizer(mesh, dofmap):
-    """Global stabilizer matrix S (symmetric PSD, CSR).  Memoized on the mesh.
+    """Global stabilizer matrix S (symmetric PSD, CSR).
 
     Each element block ``h**-3 * jump0 + h**-1 * jump1`` is averaged
     with its transpose, the blocks are scattered, and the scattered
@@ -262,33 +262,29 @@ def assemble_stabilizer(mesh, dofmap):
     scatter's int32 index arrays, the COO-to-CSR conversion and one
     transposed copy of S.
     """
-
-    def _build():
-        jump0, local = stabilizer_local_parts(mesh, dofmap)
-        h = mesh.h_t[:, None, None]
-        local /= h
-        if jump0 is not None:
-            jump0 /= h**3
-            jump0 += local
-            local = jump0
-        for start in range(0, mesh.n_triangles, _GRAM_CHUNK):
-            block = local[start : start + _GRAM_CHUNK]
-            block += block.transpose(0, 2, 1).copy()
-            block *= 0.5
-        S = _scatter(local, dofmap.element_primal, dofmap.element_primal,
-                     (dofmap.n_primal, dofmap.n_primal))
-        del local
-        # Rows and columns scatter through the same ids, so S and S.T
-        # share one sorted pattern and their data line up entry by entry.
-        T = S.T.tocsr()
-        T.sort_indices()
-        S.data += T.data
-        del T
-        S.eliminate_zeros()
-        S.data *= 0.5
-        return S
-
-    return mesh._memo(("stabilizer", dofmap.config), _build)
+    jump0, local = stabilizer_local_parts(mesh, dofmap)
+    h = mesh.h_t[:, None, None]
+    local /= h
+    if jump0 is not None:
+        jump0 /= h**3
+        jump0 += local
+        local = jump0
+    for start in range(0, mesh.n_triangles, _GRAM_CHUNK):
+        block = local[start : start + _GRAM_CHUNK]
+        block += block.transpose(0, 2, 1).copy()
+        block *= 0.5
+    S = _scatter(local, dofmap.element_primal, dofmap.element_primal,
+                 (dofmap.n_primal, dofmap.n_primal))
+    del local
+    # Rows and columns scatter through the same ids, so S and S.T
+    # share one sorted pattern and their data line up entry by entry.
+    T = S.T.tocsr()
+    T.sort_indices()
+    S.data += T.data
+    del T
+    S.eliminate_zeros()
+    S.data *= 0.5
+    return S
 
 
 def assemble_constraint(mesh, dofmap, coeff, f, quad_degree=DATA_DEGREE_DEFAULT):

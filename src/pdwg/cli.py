@@ -22,9 +22,9 @@ __all__ = ["build_parser", "main", "cli_entry"]
 
 #: Multiplier flag values -> internal space names.  ``p0`` selects the
 #: low-degree bracket end (degree k - 2), ``p1`` the high end (degree
-#: k - 1); ``auto`` takes the high end, which is the variant with the
-#: strongest observed multiplier decay.
-_MULTIPLIER_CHOICES = {"p0": "pkm2", "p1": "pkm1", "auto": "pkm1"}
+#: k - 1), the default and the variant with the strongest observed
+#: multiplier decay.
+_MULTIPLIER_CHOICES = {"p0": "pkm2", "p1": "pkm1"}
 
 
 def build_parser():
@@ -44,8 +44,8 @@ def build_parser():
     parser.add_argument(
         "--multiplier",
         choices=sorted(_MULTIPLIER_CHOICES),
-        default="auto",
-        help="multiplier space: p0 -> degree k-2, p1 -> degree k-1, auto -> degree k-1",
+        default="p1",
+        help="multiplier space: p0 -> degree k-2, p1 -> degree k-1",
     )
     parser.add_argument(
         "--no-c0",
@@ -102,7 +102,9 @@ def main(argv=None):
         final["sol"] = sol
 
     try:
-        table = run_study(problem, config, levels=args.levels, on_level=_grab)
+        table = run_study(
+            problem, config, levels=args.levels, on_level=_grab if args.dump_system else None
+        )
     except SolverError as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return 3

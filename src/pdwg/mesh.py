@@ -22,6 +22,7 @@ from the parent.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -31,7 +32,6 @@ __all__ = [
     "Mesh",
     "build_initial_mesh",
     "refine_uniform",
-    "extract_topology",
     "outward_normals",
     "dump_mesh",
     "ref_square_quadrant_signs",
@@ -96,9 +96,32 @@ class DomainSpec:
         return 0.5 * float(np.sum(p[:, 0] * q[:, 1] - q[:, 0] * p[:, 1]))
 
 
-@dataclass
+def _per_mesh(fn):
+    """Cache ``fn(mesh, *args)`` on ``mesh._cache``, keyed on ``(fn.__qualname__, *args)``.
+
+    A mesh never changes once built, so whatever is derived from it and a
+    few hashable arguments is computed once per mesh and freed with it.
+    """
+
+    @functools.wraps(fn)
+    def cached(mesh, *args):
+        key = (fn.__qualname__, *args)
+        cache = mesh._cache
+        if key not in cache:
+            cache[key] = fn(mesh, *args)
+        return cache[key]
+
+    return cached
+
+
+@dataclass(eq=False)
 class Mesh:
     """Conforming triangulation with edge topology and refinement lineage.
+
+    The constructor validates the triangles and derives the edge
+    topology, so every mesh is complete once built.  Edges are the
+    sorted unique vertex pairs of all triangle sides, ordered
+    lexicographically, which makes the numbering deterministic.
 
     Attributes
     ----------
@@ -122,6 +145,13 @@ class Mesh:
     edge_tris : (ne, 2) int array
         Adjacent triangle indices, ``-1`` when absent.
     is_boundary_edge : (ne,) bool array
+
+    Raises
+    ------
+    ValueError
+        On non-CCW or degenerate triangles, out-of-range vertex ids, or
+        non-manifold connectivity (an edge shared by more than two
+        triangles).
     """
 
     vertices: np.ndarray
@@ -130,11 +160,44 @@ class Mesh:
     level: int = 0
     domain: DomainSpec | None = None
     parents: np.ndarray | None = None
-    edges: np.ndarray | None = None
-    tri_edges: np.ndarray | None = None
-    edge_tris: np.ndarray | None = None
-    is_boundary_edge: np.ndarray | None = None
-    _cache: dict = field(default_factory=dict, repr=False, compare=False)
+    edges: np.ndarray = field(init=False)
+    tri_edges: np.ndarray = field(init=False)
+    edge_tris: np.ndarray = field(init=False)
+    is_boundary_edge: np.ndarray = field(init=False)
+    _cache: dict = field(init=False, default_factory=dict, repr=False)
+
+    def __post_init__(self):
+        self.vertices = np.ascontiguousarray(self.vertices, dtype=float)
+        self.triangles = np.ascontiguousarray(self.triangles, dtype=np.int64)
+        self.region_tags = np.ascontiguousarray(self.region_tags, dtype=np.int64)
+        _validate_triangles(self.vertices, self.triangles)
+
+        nt = self.triangles.shape[0]
+        pairs = self.triangles[:, [[0, 1], [1, 2], [2, 0]]].reshape(-1, 2)
+        pairs = np.sort(pairs, axis=1)
+        edges, inverse = np.unique(pairs, axis=0, return_inverse=True)
+        inverse = inverse.reshape(nt, 3)
+        ne = edges.shape[0]
+
+        counts = np.bincount(inverse.ravel(), minlength=ne)
+        if counts.max(initial=0) > 2:
+            bad = int(np.argmax(counts))
+            raise ValueError(
+                f"non-manifold input: edge {tuple(edges[bad])} shared by {counts[bad]} triangles"
+            )
+
+        order = np.argsort(inverse.ravel(), kind="stable")
+        tri_of_slot = order // 3
+        starts = np.searchsorted(inverse.ravel()[order], np.arange(ne))
+        edge_tris = np.full((ne, 2), -1, dtype=np.int64)
+        edge_tris[:, 0] = tri_of_slot[starts]
+        two = counts == 2
+        edge_tris[two, 1] = tri_of_slot[starts[two] + 1]
+
+        self.edges = edges
+        self.tri_edges = inverse
+        self.edge_tris = edge_tris
+        self.is_boundary_edge = counts == 1
 
     # -- basic counts ---------------------------------------------------
     @property
@@ -147,66 +210,55 @@ class Mesh:
 
     @property
     def n_edges(self):
-        return 0 if self.edges is None else self.edges.shape[0]
+        return self.edges.shape[0]
 
-    # -- derived geometry (memoized; meshes are immutable once built) ---
-    def _memo(self, key, fn):
-        if key not in self._cache:
-            self._cache[key] = fn()
-        return self._cache[key]
-
+    # -- derived geometry -----------------------------------------------
     @property
+    @_per_mesh
     def corners(self):
         """Vertex coordinates per triangle, shape (nt, 3, 2)."""
-        return self._memo("corners", lambda: self.vertices[self.triangles])
+        return self.vertices[self.triangles]
 
     @property
+    @_per_mesh
     def areas(self):
-        def _areas():
-            p = self.corners
-            d1 = p[:, 1] - p[:, 0]
-            d2 = p[:, 2] - p[:, 0]
-            return 0.5 * (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])
-
-        return self._memo("areas", _areas)
+        p = self.corners
+        d1 = p[:, 1] - p[:, 0]
+        d2 = p[:, 2] - p[:, 0]
+        return 0.5 * (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])
 
     @property
+    @_per_mesh
     def centroids(self):
-        return self._memo("centroids", lambda: self.corners.mean(axis=1))
+        return self.corners.mean(axis=1)
 
     @property
+    @_per_mesh
     def edge_lengths(self):
-        def _len():
-            d = self.vertices[self.edges[:, 1]] - self.vertices[self.edges[:, 0]]
-            return np.hypot(d[:, 0], d[:, 1])
-
-        return self._memo("edge_lengths", _len)
+        d = self.vertices[self.edges[:, 1]] - self.vertices[self.edges[:, 0]]
+        return np.hypot(d[:, 0], d[:, 1])
 
     @property
+    @_per_mesh
     def h_t(self):
         """Longest edge length of each triangle."""
-        return self._memo(
-            "h_t", lambda: self.edge_lengths[self.tri_edges].max(axis=1)
-        )
+        return self.edge_lengths[self.tri_edges].max(axis=1)
 
     @property
     def h_max(self):
         return float(self.h_t.max())
 
     @property
+    @_per_mesh
     def boundary_edges(self):
-        return self._memo(
-            "boundary_edges", lambda: np.flatnonzero(self.is_boundary_edge)
-        )
+        return np.flatnonzero(self.is_boundary_edge)
 
     @property
+    @_per_mesh
     def boundary_vertices(self):
-        def _bv():
-            mask = np.zeros(self.n_vertices, dtype=bool)
-            mask[self.edges[self.is_boundary_edge].ravel()] = True
-            return mask
-
-        return self._memo("boundary_vertices", _bv)
+        mask = np.zeros(self.n_vertices, dtype=bool)
+        mask[self.edges[self.is_boundary_edge].ravel()] = True
+        return mask
 
 
 def _validate_triangles(vertices, triangles):
@@ -226,61 +278,6 @@ def _validate_triangles(vertices, triangles):
         raise ValueError(f"triangle {bad} is not CCW (signed area {0.5 * cross[bad]:g})")
 
 
-def extract_topology(mesh):
-    """Fill edge topology (edge list, adjacency, boundary flags).
-
-    Returns a new :class:`Mesh`; the input is unchanged.  Edges are the
-    sorted unique vertex pairs of all triangle sides, ordered
-    lexicographically, which makes the numbering deterministic.  Input
-    where some edge is shared by more than two triangles (non-manifold)
-    is rejected.
-
-    Raises
-    ------
-    ValueError
-        On non-CCW or degenerate triangles, out-of-range vertex ids, or
-        non-manifold connectivity.
-    """
-    vertices = np.ascontiguousarray(np.asarray(mesh.vertices, dtype=float))
-    triangles = np.ascontiguousarray(np.asarray(mesh.triangles, dtype=np.int64))
-    _validate_triangles(vertices, triangles)
-
-    nt = triangles.shape[0]
-    pairs = triangles[:, [[0, 1], [1, 2], [2, 0]]].reshape(-1, 2)
-    pairs = np.sort(pairs, axis=1)
-    edges, inverse = np.unique(pairs, axis=0, return_inverse=True)
-    inverse = inverse.reshape(nt, 3)
-    ne = edges.shape[0]
-
-    counts = np.bincount(inverse.ravel(), minlength=ne)
-    if counts.max(initial=0) > 2:
-        bad = int(np.argmax(counts))
-        raise ValueError(
-            f"non-manifold input: edge {tuple(edges[bad])} shared by {counts[bad]} triangles"
-        )
-
-    order = np.argsort(inverse.ravel(), kind="stable")
-    tri_of_slot = order // 3
-    starts = np.searchsorted(inverse.ravel()[order], np.arange(ne))
-    edge_tris = np.full((ne, 2), -1, dtype=np.int64)
-    edge_tris[:, 0] = tri_of_slot[starts]
-    two = counts == 2
-    edge_tris[two, 1] = tri_of_slot[starts[two] + 1]
-
-    return Mesh(
-        vertices=vertices,
-        triangles=triangles,
-        region_tags=np.ascontiguousarray(np.asarray(mesh.region_tags, dtype=np.int64)),
-        level=mesh.level,
-        domain=mesh.domain,
-        parents=mesh.parents,
-        edges=edges,
-        tri_edges=inverse,
-        edge_tris=edge_tris,
-        is_boundary_edge=counts == 1,
-    )
-
-
 def build_initial_mesh(domain):
     """Coarsest mesh of a built-in domain.
 
@@ -291,22 +288,19 @@ def build_initial_mesh(domain):
     Returns
     -------
     Mesh
-        Level-0 mesh with topology filled.  Counts are 4 vertices / 2
-        triangles (unit square), 9 / 8 (``(-1,1)^2``), and 5 / 3
-        (L-shape).
+        Level-0 mesh.  Counts are 4 vertices / 2 triangles (unit
+        square), 9 / 8 (``(-1,1)^2``), and 5 / 3 (L-shape).
     """
     if not isinstance(domain, DomainSpec):
         raise TypeError("domain must be a DomainSpec")
 
     vertices, triangles, tags, _ = _DOMAINS[domain.kind]
-    return extract_topology(
-        Mesh(
-            vertices=np.array(vertices),
-            triangles=np.array(triangles),
-            region_tags=np.array(tags),
-            level=0,
-            domain=domain,
-        )
+    return Mesh(
+        vertices=np.array(vertices),
+        triangles=np.array(triangles),
+        region_tags=np.array(tags),
+        level=0,
+        domain=domain,
     )
 
 
@@ -329,8 +323,6 @@ def refine_uniform(mesh):
     construction is deterministic: equal input meshes produce identical
     output arrays.
     """
-    if mesh.edges is None:
-        mesh = extract_topology(mesh)
     nv = mesh.n_vertices
     mids = 0.5 * (mesh.vertices[mesh.edges[:, 0]] + mesh.vertices[mesh.edges[:, 1]])
     vertices = np.vstack([mesh.vertices, mids])
@@ -343,18 +335,17 @@ def refine_uniform(mesh):
     children[:, 2] = np.column_stack([m[:, 2], m[:, 1], v[:, 2]])
     children[:, 3] = np.column_stack([m[:, 0], m[:, 1], m[:, 2]])
 
-    return extract_topology(
-        Mesh(
-            vertices=vertices,
-            triangles=children.reshape(-1, 3),
-            region_tags=np.repeat(mesh.region_tags, 4),
-            level=mesh.level + 1,
-            domain=mesh.domain,
-            parents=np.repeat(np.arange(mesh.n_triangles), 4),
-        )
+    return Mesh(
+        vertices=vertices,
+        triangles=children.reshape(-1, 3),
+        region_tags=np.repeat(mesh.region_tags, 4),
+        level=mesh.level + 1,
+        domain=mesh.domain,
+        parents=np.repeat(np.arange(mesh.n_triangles), 4),
     )
 
 
+@_per_mesh
 def outward_normals(mesh):
     """Unit outward normal of every (triangle, local edge) pair.
 
@@ -366,14 +357,10 @@ def outward_normals(mesh):
         ``(l + 1) % 3``).  For CCW triangles this is the edge direction
         rotated clockwise by 90 degrees.
     """
-
-    def _normals():
-        p = mesh.corners
-        d = np.stack([p[:, 1] - p[:, 0], p[:, 2] - p[:, 1], p[:, 0] - p[:, 2]], axis=1)
-        n = np.stack([d[:, :, 1], -d[:, :, 0]], axis=-1)
-        return n / np.linalg.norm(n, axis=-1, keepdims=True)
-
-    return mesh._memo("outward_normals", _normals)
+    p = mesh.corners
+    d = np.stack([p[:, 1] - p[:, 0], p[:, 2] - p[:, 1], p[:, 0] - p[:, 2]], axis=1)
+    n = np.stack([d[:, :, 1], -d[:, :, 0]], axis=-1)
+    return n / np.linalg.norm(n, axis=-1, keepdims=True)
 
 
 def dump_mesh(mesh, target):
@@ -383,8 +370,6 @@ def dump_mesh(mesh, target):
     ``x y``; then ``F`` triangle lines ``i j k region``; then ``E`` edge
     lines ``i j boundary_flag``.
     """
-    if mesh.edges is None:
-        mesh = extract_topology(mesh)
     lines = [f"{mesh.n_vertices} {mesh.n_edges} {mesh.n_triangles}"]
     for x, y in mesh.vertices:
         lines.append(f"{x:.17g} {y:.17g}")

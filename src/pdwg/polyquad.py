@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import roots_jacobi
 
-from .mesh import extract_topology
+from .mesh import _per_mesh
 
 __all__ = [
     "QuadratureRule",
@@ -284,28 +284,26 @@ def _physical_edge_rule(mesh, rule):
 
 # -- memoized per-mesh accessors -----------------------------------------
 
+@_per_mesh
 def get_tri_basis(mesh, degree):
-    return mesh._memo(("tri_basis", degree), lambda: TriangleBasis(mesh, degree))
+    return TriangleBasis(mesh, degree)
 
 
+@_per_mesh
 def get_edge_basis(mesh, degree):
-    return mesh._memo(("edge_basis", degree), lambda: EdgeBasis(mesh, degree))
+    return EdgeBasis(mesh, degree)
 
 
+@_per_mesh
 def get_element_rule(mesh, degree):
     """Physical points/weights of the degree-``degree`` triangle rule."""
-    return mesh._memo(
-        ("element_rule", degree),
-        lambda: _physical_element_rule(mesh, triangle_quadrature(degree)),
-    )
+    return _physical_element_rule(mesh, triangle_quadrature(degree))
 
 
+@_per_mesh
 def get_edge_rule(mesh, degree):
     """Physical points/weights and reference parameters on all edges."""
-    return mesh._memo(
-        ("edge_rule", degree),
-        lambda: _physical_edge_rule(mesh, edge_quadrature(degree)),
-    )
+    return _physical_edge_rule(mesh, edge_quadrature(degree))
 
 
 # -- projections ----------------------------------------------------------
@@ -330,8 +328,6 @@ def project_element(f, degree, mesh, quad_degree=None):
         solution of the Gram system for each element (the Gram matrix is
         the identity in this basis).
     """
-    if mesh.edges is None:
-        mesh = extract_topology(mesh)
     qd = quad_degree if quad_degree is not None else max(2 * degree + 2, DATA_DEGREE_DEFAULT)
     basis = get_tri_basis(mesh, degree)
     pts, w = get_element_rule(mesh, qd)
@@ -349,8 +345,6 @@ def project_edge(f, degree, mesh, quad_degree=None):
     with one extra leading axis of size 2 (vector field, e.g. a
     gradient).  Returns coefficients shaped (ne, dim) or (ne, 2, dim).
     """
-    if mesh.edges is None:
-        mesh = extract_topology(mesh)
     qd = quad_degree if quad_degree is not None else max(2 * degree + 2, DATA_DEGREE_DEFAULT)
     basis = get_edge_basis(mesh, degree)
     pts, w, t = get_edge_rule(mesh, qd)

@@ -26,7 +26,7 @@ class SolverError(RuntimeError):
     """Raised when the saddle system cannot be solved to tolerance."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class WgSolution:
     """The solved system and its two unknowns.
 

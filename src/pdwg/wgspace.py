@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mesh import outward_normals
+from .mesh import _per_mesh, outward_normals
 from .polyquad import (
     GEOMETRY_EDGE_DEGREE,
     GEOMETRY_TRI_DEGREE,
@@ -138,7 +138,7 @@ class LocalLayout:
         return slice(start, start + self.ng)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LagrangeNodes:
     """Principal-lattice Lagrange nodes of degree k over a mesh.
 
@@ -155,73 +155,67 @@ class LagrangeNodes:
         return self.coords.shape[0]
 
 
+@_per_mesh
 def lagrange_nodes(mesh, k):
     """Construct shared Lagrange nodes of degree ``k`` on a mesh."""
+    nv, ne, nt = mesh.n_vertices, mesh.n_edges, mesh.n_triangles
+    per_edge = k - 1
+    n_int = (k - 1) * (k - 2) // 2
+    lo = mesh.vertices[mesh.edges[:, 0]]
+    hi = mesh.vertices[mesh.edges[:, 1]]
+    frac = (np.arange(1, k) / k)[None, :, None]
+    edge_coords = lo[:, None, :] + frac * (hi - lo)[:, None, :]
 
-    def _build():
-        nv, ne, nt = mesh.n_vertices, mesh.n_edges, mesh.n_triangles
-        per_edge = k - 1
-        n_int = (k - 1) * (k - 2) // 2
-        lo = mesh.vertices[mesh.edges[:, 0]]
-        hi = mesh.vertices[mesh.edges[:, 1]]
-        frac = (np.arange(1, k) / k)[None, :, None]
-        edge_coords = lo[:, None, :] + frac * (hi - lo)[:, None, :]
-
-        corners = mesh.corners
-        # Lattice interior points (i, j >= 1, i + j <= k - 1) in fixed order.
-        int_list = sorted((i, j) for i in range(1, k) for j in range(1, k - i))
-        assert len(int_list) == n_int
-        if n_int:
-            bary = np.array(int_list, dtype=float) / k
-            int_coords = (
-                corners[:, None, 0, :]
-                + bary[None, :, 0, None] * (corners[:, 1] - corners[:, 0])[:, None, :]
-                + bary[None, :, 1, None] * (corners[:, 2] - corners[:, 0])[:, None, :]
-            )
-        else:
-            int_coords = np.zeros((nt, 0, 2))
-
-        coords = np.vstack(
-            [mesh.vertices, edge_coords.reshape(-1, 2), int_coords.reshape(-1, 2)]
+    corners = mesh.corners
+    # Lattice interior points (i, j >= 1, i + j <= k - 1) in fixed order.
+    int_list = sorted((i, j) for i in range(1, k) for j in range(1, k - i))
+    assert len(int_list) == n_int
+    if n_int:
+        bary = np.array(int_list, dtype=float) / k
+        int_coords = (
+            corners[:, None, 0, :]
+            + bary[None, :, 0, None] * (corners[:, 1] - corners[:, 0])[:, None, :]
+            + bary[None, :, 1, None] * (corners[:, 2] - corners[:, 0])[:, None, :]
         )
-        n_nodes = nv + ne * per_edge + nt * n_int
+    else:
+        int_coords = np.zeros((nt, 0, 2))
 
-        blocks = [mesh.triangles]
-        for ledge in range(3):
-            g = mesh.tri_edges[:, ledge]
-            blocks.append(nv + g[:, None] * per_edge + np.arange(per_edge)[None, :])
-        if n_int:
-            ids = nv + ne * per_edge + np.arange(nt)[:, None] * n_int + np.arange(n_int)[None, :]
-            blocks.append(ids)
-        element_nodes = np.concatenate(blocks, axis=1).astype(np.int64)
+    coords = np.vstack(
+        [mesh.vertices, edge_coords.reshape(-1, 2), int_coords.reshape(-1, 2)]
+    )
+    n_nodes = nv + ne * per_edge + nt * n_int
 
-        bmask = np.zeros(n_nodes, dtype=bool)
-        bmask[: nv][mesh.boundary_vertices] = True
-        bedges = mesh.boundary_edges
-        ids = nv + bedges[:, None] * per_edge + np.arange(per_edge)[None, :]
-        bmask[ids.ravel()] = True
-        return LagrangeNodes(
-            coords=coords,
-            element_nodes=element_nodes,
-            boundary_nodes=np.flatnonzero(bmask),
-        )
+    blocks = [mesh.triangles]
+    for ledge in range(3):
+        g = mesh.tri_edges[:, ledge]
+        blocks.append(nv + g[:, None] * per_edge + np.arange(per_edge)[None, :])
+    if n_int:
+        ids = nv + ne * per_edge + np.arange(nt)[:, None] * n_int + np.arange(n_int)[None, :]
+        blocks.append(ids)
+    element_nodes = np.concatenate(blocks, axis=1).astype(np.int64)
 
-    return mesh._memo(("lagrange_nodes", k), _build)
+    bmask = np.zeros(n_nodes, dtype=bool)
+    bmask[: nv][mesh.boundary_vertices] = True
+    bedges = mesh.boundary_edges
+    ids = nv + bedges[:, None] * per_edge + np.arange(per_edge)[None, :]
+    bmask[ids.ravel()] = True
+    return LagrangeNodes(
+        coords=coords,
+        element_nodes=element_nodes,
+        boundary_nodes=np.flatnonzero(bmask),
+    )
 
 
+@_per_mesh
 def nodal_to_modal(mesh, k):
     """Per-element map from Lagrange nodal values to orthonormal coefficients."""
-
-    def _build():
-        nodes = lagrange_nodes(mesh, k)
-        basis = get_tri_basis(mesh, k)
-        V = basis.eval(nodes.coords[nodes.element_nodes])  # (nt, n0, n0)
-        return np.linalg.inv(V)
-
-    return mesh._memo(("nodal_to_modal", k), _build)
+    nodes = lagrange_nodes(mesh, k)
+    basis = get_tri_basis(mesh, k)
+    V = basis.eval(nodes.coords[nodes.element_nodes])  # (nt, n0, n0)
+    return np.linalg.inv(V)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DofMap:
     """Global numbering of primal and multiplier unknowns.
 
@@ -293,49 +287,46 @@ class DofMap:
         return np.asarray(primal)[self.vg_base :].reshape(-1, 2, self.layout.ng)
 
 
+@_per_mesh
 def build_dof_map(mesh, config):
-    """Build the :class:`DofMap` of a mesh/config pair (memoized)."""
+    """Build the :class:`DofMap` of a mesh/config pair (cached on the mesh)."""
+    k = config.k
+    nt, ne = mesh.n_triangles, mesh.n_edges
+    ng = 2 * k  # per-edge gradient block
 
-    def _build():
-        k = config.k
-        nt, ne = mesh.n_triangles, mesh.n_edges
-        ng = 2 * k  # per-edge gradient block
+    if config.c0_type:
+        nodes = lagrange_nodes(mesh, k)
+        vg_base = nodes.n_nodes
+        v0_cols = nodes.element_nodes
+        constrained = nodes.boundary_nodes
+    else:
+        nodes = None
+        n0 = space_dim(k)
+        vb_base = nt * n0
+        vg_base = vb_base + ne * (k + 1)
+        v0_cols = np.arange(vb_base, dtype=np.int64).reshape(nt, n0)
+        # Ascending because boundary_edges is; apply_dirichlet relies on it.
+        bedges = mesh.boundary_edges
+        constrained = (
+            vb_base + bedges[:, None] * (k + 1) + np.arange(k + 1)[None, :]
+        ).ravel()
 
-        if config.c0_type:
-            nodes = lagrange_nodes(mesh, k)
-            vg_base = nodes.n_nodes
-            v0_cols = nodes.element_nodes
-            constrained = nodes.boundary_nodes
-        else:
-            nodes = None
-            n0 = space_dim(k)
-            vb_base = nt * n0
-            vg_base = vb_base + ne * (k + 1)
-            v0_cols = np.arange(vb_base, dtype=np.int64).reshape(nt, n0)
-            # Ascending because boundary_edges is; apply_dirichlet relies on it.
-            bedges = mesh.boundary_edges
-            constrained = (
-                vb_base + bedges[:, None] * (k + 1) + np.arange(k + 1)[None, :]
-            ).ravel()
-
-        cols = [v0_cols]
-        if not config.c0_type:
-            for ledge in range(3):
-                g = mesh.tri_edges[:, ledge]
-                cols.append(vb_base + g[:, None] * (k + 1) + np.arange(k + 1)[None, :])
+    cols = [v0_cols]
+    if not config.c0_type:
         for ledge in range(3):
             g = mesh.tri_edges[:, ledge]
-            cols.append(vg_base + g[:, None] * ng + np.arange(ng)[None, :])
-        return DofMap(
-            config=config,
-            n_primal=vg_base + ne * ng,
-            element_primal=np.concatenate(cols, axis=1).astype(np.int64),
-            constrained=np.asarray(constrained, dtype=np.int64),
-            vg_base=vg_base,
-            nodes=nodes,
-        )
-
-    return mesh._memo(("dofmap", config), _build)
+            cols.append(vb_base + g[:, None] * (k + 1) + np.arange(k + 1)[None, :])
+    for ledge in range(3):
+        g = mesh.tri_edges[:, ledge]
+        cols.append(vg_base + g[:, None] * ng + np.arange(ng)[None, :])
+    return DofMap(
+        config=config,
+        n_primal=vg_base + ne * ng,
+        element_primal=np.concatenate(cols, axis=1).astype(np.int64),
+        constrained=np.asarray(constrained, dtype=np.int64),
+        vg_base=vg_base,
+        nodes=nodes,
+    )
 
 
 def _element_edge_traces(mesh, config):
@@ -356,74 +347,76 @@ def _element_edge_traces(mesh, config):
     return epts[g], ew[g], Xg, Xb
 
 
+# No caller asks for the same weak Hessian twice, yet it stays cached:
+# building both assemble-p5-L7 variants in one process peaked at 1,112 MB
+# with the cache and 1,160 MB without, because freeing its large blocks
+# raises glibc's dynamic mmap threshold, so later large arrays come from
+# the heap.
+@_per_mesh
 def weak_hessian_local(mesh, config):
     """Per-element matrices of the four discrete weak second derivatives.
 
     Returns a dict whose entry ``(i, j)`` has shape (nt, dim S, nloc) and
     maps the element-local primal vector to the orthonormal coefficients
-    of ``D_ij`` in the multiplier space.  Memoized on the mesh.
+    of ``D_ij`` in the multiplier space.  Cached on the mesh.
     """
+    k = config.k
+    layout = build_dof_map(mesh, config).layout
+    sdeg = config.mult_degree
+    ns = space_dim(sdeg)
+    nt = mesh.n_triangles
 
-    def _build():
-        k = config.k
-        layout = build_dof_map(mesh, config).layout
-        sdeg = config.mult_degree
-        ns = space_dim(sdeg)
-        nt = mesh.n_triangles
+    tb = get_tri_basis(mesh, k)
+    sb = get_tri_basis(mesh, sdeg)
+    pts, w = get_element_rule(mesh, GEOMETRY_TRI_DEGREE(k))
+    pe, we, Xg, Xb = _element_edge_traces(mesh, config)
+    nrm = outward_normals(mesh)
 
-        tb = get_tri_basis(mesh, k)
-        sb = get_tri_basis(mesh, sdeg)
-        pts, w = get_element_rule(mesh, GEOMETRY_TRI_DEGREE(k))
-        pe, we, Xg, Xb = _element_edge_traces(mesh, config)
-        nrm = outward_normals(mesh)
+    VS_tr = sb.eval(pe)
+    # <vg_i, phi n_j>: moment of every vg basis function against phi.
+    Mg = np.einsum("etqm,etqr,etq->etmr", VS_tr, Xg, we, optimize=True)
 
-        VS_tr = sb.eval(pe)
-        # <vg_i, phi n_j>: moment of every vg basis function against phi.
-        Mg = np.einsum("etqm,etqr,etq->etmr", VS_tr, Xg, we, optimize=True)
+    if config.c0_type:
+        trans = nodal_to_modal(mesh, k)
+        VSd_vol = {1: sb.eval(pts, dx=1), 2: sb.eval(pts, dy=1)}
+        V0d = {1: tb.eval(pts, dx=1), 2: tb.eval(pts, dy=1)}
+    else:
+        VS_d = {1: sb.eval(pe, dx=1), 2: sb.eval(pe, dy=1)}
+        Mb = {
+            j: np.einsum("etqm,etqr,etq->etmr", VS_d[j], Xb, we, optimize=True)
+            for j in (1, 2)
+        }
+        V0 = tb.eval(pts)
+        # v0 block by (dx, dy) of the multiplier basis; D_12 and D_21 share one.
+        H0 = {}
 
-        if config.c0_type:
-            trans = nodal_to_modal(mesh, k)
-            VSd_vol = {1: sb.eval(pts, dx=1), 2: sb.eval(pts, dy=1)}
-            V0d = {1: tb.eval(pts, dx=1), 2: tb.eval(pts, dy=1)}
-        else:
-            VS_d = {1: sb.eval(pe, dx=1), 2: sb.eval(pe, dy=1)}
-            Mb = {
-                j: np.einsum("etqm,etqr,etq->etmr", VS_d[j], Xb, we, optimize=True)
-                for j in (1, 2)
-            }
-            V0 = tb.eval(pts)
-            # v0 block by (dx, dy) of the multiplier basis; D_12 and D_21 share one.
-            H0 = {}
-
-        matrices = {}
-        for i in (1, 2):
-            for j in (1, 2):
-                H = np.zeros((nt, ns, layout.nloc))
-                if config.c0_type:
-                    A = -np.einsum(
-                        "eqm,eql,eq->eml", VSd_vol[j], V0d[i], w, optimize=True
+    matrices = {}
+    for i in (1, 2):
+        for j in (1, 2):
+            H = np.zeros((nt, ns, layout.nloc))
+            if config.c0_type:
+                A = -np.einsum(
+                    "eqm,eql,eq->eml", VSd_vol[j], V0d[i], w, optimize=True
+                )
+                H[:, :, layout.v0] = A @ trans
+            else:
+                dx = (i == 1) + (j == 1)
+                dy = (i == 2) + (j == 2)
+                if (dx, dy) not in H0:
+                    H0[dx, dy] = np.einsum(
+                        "eqm,eql,eq->eml", sb.eval(pts, dx=dx, dy=dy), V0, w, optimize=True
                     )
-                    H[:, :, layout.v0] = A @ trans
-                else:
-                    dx = (i == 1) + (j == 1)
-                    dy = (i == 2) + (j == 2)
-                    if (dx, dy) not in H0:
-                        H0[dx, dy] = np.einsum(
-                            "eqm,eql,eq->eml", sb.eval(pts, dx=dx, dy=dy), V0, w, optimize=True
-                        )
-                    H[:, :, layout.v0] = H0[dx, dy]
-                    for ledge in range(3):
-                        H[:, :, layout.vb(ledge)] -= (
-                            nrm[:, ledge, i - 1, None, None] * Mb[j][:, ledge]
-                        )
+                H[:, :, layout.v0] = H0[dx, dy]
                 for ledge in range(3):
-                    H[:, :, layout.vg(ledge, i - 1)] += (
-                        nrm[:, ledge, j - 1, None, None] * Mg[:, ledge]
+                    H[:, :, layout.vb(ledge)] -= (
+                        nrm[:, ledge, i - 1, None, None] * Mb[j][:, ledge]
                     )
-                matrices[(i, j)] = H
-        return matrices
-
-    return mesh._memo(("weak_hessian", config), _build)
+            for ledge in range(3):
+                H[:, :, layout.vg(ledge, i - 1)] += (
+                    nrm[:, ledge, j - 1, None, None] * Mg[:, ledge]
+                )
+            matrices[(i, j)] = H
+    return matrices
 
 
 def apply_weak_hessian(v_local, hess, i, j):

@@ -403,3 +403,22 @@ def test_dump_system_roundtrip(unit_meshes, tmp_path):
     K2 = sp.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
     d = (K2 - system.block_matrix()).tocoo()
     assert d.nnz == 0 or np.abs(d.data).max() < 1e-15
+
+
+def test_per_mesh_cache(unit_meshes):
+    mesh = unit_meshes[2]
+    config = SpaceConfig(k=2, c0_type=False)
+    for get in (
+        lambda m: get_tri_basis(m, 2),
+        lambda m: get_element_rule(m, 6),
+        lambda m: build_dof_map(m, config),
+        lambda m: weak_hessian_local(m, config),
+        lambda m: m.h_t,
+    ):
+        assert get(mesh) is get(mesh)
+        assert get(mesh) is not get(unit_meshes[1])
+    # S is not cached: each call builds a new matrix with the same bits.
+    dm = build_dof_map(mesh, config)
+    S1, S2 = assemble_stabilizer(mesh, dm), assemble_stabilizer(mesh, dm)
+    assert S1 is not S2
+    assert_csr_bitwise_equal(S1, S2)

@@ -37,12 +37,13 @@ def test_requires_problem(capsys):
 
 def test_rejects_unknown_multiplier(capsys):
     assert main(["--problem", "p1", "--multiplier", "p7"]) == 2
+    assert main(["--problem", "p1", "--multiplier", "auto"]) == 2
 
 
 def test_parser_defaults():
     args = build_parser().parse_args(["--problem", "p1"])
     assert args.k == 2
-    assert args.multiplier == "auto"
+    assert args.multiplier == "p1"
     assert args.levels == 6
     assert args.out == "study.csv"
     assert not args.no_c0

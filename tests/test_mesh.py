@@ -10,7 +10,6 @@ from pdwg.mesh import (
     Mesh,
     build_initial_mesh,
     dump_mesh,
-    extract_topology,
     outward_normals,
     ref_square_quadrant_signs,
     refine_uniform,
@@ -109,20 +108,32 @@ def test_nonmanifold_rejected():
     # Three triangles sharing one edge cannot form a conforming planar mesh.
     v = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0], [-1.0, 1.0]])
     t = np.array([[0, 1, 2], [1, 3, 2], [1, 2, 4]])
-    # Make every triangle CCW before topology extraction sees the shared edge.
+    # Make every triangle CCW, so only the shared edge is wrong.
     p = v[t]
     d1, d2 = p[:, 1] - p[:, 0], p[:, 2] - p[:, 0]
     assert np.all(d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0] > 0)
     with pytest.raises(ValueError, match="non-manifold"):
-        extract_topology(Mesh(vertices=v, triangles=t, region_tags=np.zeros(3, dtype=int)))
+        Mesh(vertices=v, triangles=t, region_tags=np.zeros(3, dtype=int))
 
 
 def test_bad_triangles_rejected():
     v = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
     with pytest.raises(ValueError, match="CCW"):
-        extract_topology(Mesh(v, np.array([[0, 2, 1]]), np.zeros(1, dtype=int)))
+        Mesh(v, np.array([[0, 2, 1]]), np.zeros(1, dtype=int))
     with pytest.raises(ValueError, match="repeated"):
-        extract_topology(Mesh(v, np.array([[0, 1, 1]]), np.zeros(1, dtype=int)))
+        Mesh(v, np.array([[0, 1, 1]]), np.zeros(1, dtype=int))
+
+
+def test_hand_built_mesh_is_complete():
+    # The unit square's two triangles, built without build_initial_mesh.
+    v = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
+    m = Mesh(v, np.array([[0, 1, 2], [0, 2, 3]]), np.zeros(2, dtype=int))
+    assert m.n_edges == 5
+    np.testing.assert_array_equal(m.h_t, [np.sqrt(2.0)] * 2)
+    assert m.boundary_edges.tolist() == [0, 2, 3, 4]  # all but the diagonal (0, 2)
+    ref = build_initial_mesh(DomainSpec("unit_square"))
+    for name in ("edges", "tri_edges", "edge_tris", "is_boundary_edge"):
+        np.testing.assert_array_equal(getattr(m, name), getattr(ref, name))
 
 
 # -- refinement ---------------------------------------------------------------

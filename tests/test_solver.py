@@ -6,11 +6,11 @@ import numpy as np
 import pytest
 
 from pdwg.assembly import build_saddle, constant_coefficients
-from pdwg.mesh import DomainSpec
+from pdwg.mesh import DomainSpec, build_initial_mesh
 from pdwg.polyquad import get_element_rule
 from pdwg.problems import ProblemSpec, builtin
 from pdwg.solver import RESIDUAL_RTOL, SolverError, WgSolution, solve
-from pdwg.wgspace import SpaceConfig
+from pdwg.wgspace import SpaceConfig, build_dof_map
 
 ALL_VARIANTS = [
     SpaceConfig(k=2, multiplier_space="pkm1", c0_type=True),
@@ -157,3 +157,16 @@ def test_solve_deterministic(unit_meshes):
     b = solve(build_saddle(mesh, config, builtin("p1")))
     assert np.array_equal(a.primal, b.primal)
     assert np.array_equal(a.lam_vec, b.lam_vec)
+
+
+def test_array_records_compare_by_identity():
+    # Field-wise == on their arrays used to raise "truth value ... is ambiguous".
+    problem, config = builtin("p1"), SpaceConfig(k=2)
+    meshes = [build_initial_mesh(problem.domain) for _ in range(2)]
+    dofmaps = [build_dof_map(m, config) for m in meshes]
+    systems = [build_saddle(m, config, problem) for m in meshes]
+    solutions = [solve(s) for s in systems]
+    nodes = [dm.nodes for dm in dofmaps]
+    for a, b in (meshes, nodes, dofmaps, systems, solutions):
+        assert (a == b) is False
+        assert a == a

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from pdwg.assembly import stabilizer_local_parts
-from pdwg.mesh import Mesh, build_initial_mesh, DomainSpec, extract_topology
+from pdwg.mesh import Mesh, build_initial_mesh, DomainSpec
 from pdwg.polyquad import (
     GEOMETRY_EDGE_DEGREE,
     get_edge_basis,
@@ -27,7 +27,7 @@ from pdwg.wgspace import (
 
 def one_triangle_mesh():
     v = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
-    return extract_topology(Mesh(v, np.array([[0, 1, 2]]), np.zeros(1, dtype=int)))
+    return Mesh(v, np.array([[0, 1, 2]]), np.zeros(1, dtype=int))
 
 
 # -- configuration and layout ---------------------------------------------------
