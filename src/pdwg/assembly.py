@@ -63,7 +63,10 @@ class CoefficientField:
     ``region`` carries the element region tags so that tensors jumping
     across region interfaces are evaluated by tag, never by the sign of a
     near-interface point.  ``a12`` serves as both off-diagonal entries,
-    so the tensor is symmetric by construction.
+    so the tensor is symmetric by construction.  Assembly calls the
+    entries, and the source ``f``, on one chunk of elements at a time, so
+    they must be pointwise: the value at a point depends only on its
+    coordinates and region tag, not on the other points of the call.
 
     ``bounds`` optionally records ellipticity constants ``(alpha, beta)``
     with ``alpha |xi|^2 <= xi.a.xi <= beta |xi|^2``.
@@ -151,84 +154,108 @@ class SaddleSystem:
         return np.concatenate([np.zeros(self.n_primal), self.F])
 
 
-#: Elements per step of the stabilizer's Gram contractions and local
-#: transposes.  Bounds their temporaries; each element's sums run in the
-#: same order as over the whole mesh, so it does not change a bit of ``S``.
+#: Elements per step of the stabilizer and constraint assembly.  Bounds
+#: their temporaries; each element's sums run in the same order as over the
+#: whole mesh, so it does not change a bit of ``S``, ``B`` or ``F``.
 _GRAM_CHUNK = 1024
 
 
-def _scatter(local, rows, cols, shape):
-    """Accumulate per-element dense blocks into one CSR matrix.
+def _chunks(nt):
+    """Slices of ``_GRAM_CHUNK`` consecutive elements covering ``nt``."""
+    return (slice(start, start + _GRAM_CHUNK) for start in range(0, nt, _GRAM_CHUNK))
 
-    The row and column index arrays are built directly in the index type
-    that ``coo_matrix`` keeps (int32 unless ``shape`` needs more), so the
-    COO stage holds no wider copy of them.
+
+def _scatter(values, rows, cols, pairs, shape):
+    """Sum per-element entries into one CSR matrix.
+
+    With ``(a, b) = pairs``, ``values[e, i]`` lands at
+    ``(rows[e, a[i]], cols[e, b[i]])``.  The index arrays are gathered
+    directly in the index type that ``coo_matrix`` keeps (int32 unless
+    ``shape`` needs more), so the COO stage holds no wider copy of them.
     """
     idx = np.int32 if max(shape) <= np.iinfo(np.int32).max else np.int64
-    r = np.broadcast_to(rows.astype(idx)[:, :, None], local.shape).ravel()
-    c = np.broadcast_to(cols.astype(idx)[:, None, :], local.shape).ravel()
-    mat = sp.coo_matrix((local.ravel(), (r, c)), shape=shape)
-    return mat.tocsr()
+    a, b = pairs
+    r = rows.astype(idx)[:, a].ravel()
+    c = cols.astype(idx)[:, b].ravel()
+    return sp.coo_matrix((values.ravel(), (r, c)), shape=shape).tocsr()
 
 
-def _edge_jumps(mesh, dofmap):
+def _mismatches(layout):
+    """The boundary mismatches of the stabilizer and the columns they read.
+
+    Yields ``(p, (dx, dy), cols)``: on local edge ``ledge`` the mismatch
+    is ``d^(dx, dy) v0`` minus the trace block ``cols[ledge]``, weighted
+    ``h_T**-p``: ``d_c v0 - vg_c`` for c = x, y (p = 1), then
+    ``v0 - vb`` (p = 3) outside the C0 variant.
+    """
+    for comp, d in enumerate(((1, 0), (0, 1))):
+        yield 1, d, [layout.vg(ledge, comp) for ledge in range(3)]
+    if not layout.c0_type:
+        yield 3, (0, 0), [layout.vb(ledge) for ledge in range(3)]
+
+
+def _coupled_pairs(layout):
+    """Local pairs ``(a, b)`` that some mismatch couples, in row-major order.
+
+    A mismatch on one edge reads only ``v0`` and that edge's trace block,
+    so every other entry of a local stabilizer block is a structural zero.
+    """
+    mask = np.zeros((layout.nloc, layout.nloc), dtype=bool)
+    for _, _, cols in _mismatches(layout):
+        for trace in cols:
+            support = np.r_[layout.v0, trace]
+            mask[np.ix_(support, support)] = True
+    return np.nonzero(mask)
+
+
+def _edge_jumps(mesh, dofmap, elements=slice(None)):
     """Edge weights and the boundary-mismatch operators of the stabilizer.
 
-    Returns ``(we, jumps)``: ``we`` (nt, 3, nq) are the element-edge
-    quadrature weights, and ``jumps`` yields ``(p, J)`` pairs in which
-    ``J`` (nt, 3, nq, nloc) maps an element-local DOF vector to one
+    Returns ``(we, jumps)`` for ``elements`` (all by default): ``we``
+    (ne, 3, nq) are the element-edge quadrature weights, and ``jumps``
+    yields one ``(p, J)`` pair per mismatch of :func:`_mismatches`, in
+    which ``J`` (ne, 3, nq, nloc) maps an element-local DOF vector to the
     mismatch at the edge quadrature points, weighted ``h_T**-p`` in the
-    stabilizer: ``d_c v0 - vg_c`` for c = x, y (p = 1), then ``v0 - vb``
-    (p = 3) outside the C0 variant.  The operators are built one by one
-    as the caller iterates, so the three are never held at once.
+    stabilizer.  The operators are built one by one as the caller
+    iterates, so the three are never held at once.
     """
     config = dofmap.config
-    k = config.k
     layout = dofmap.layout
-    tb = get_tri_basis(mesh, k)
-    pe, we, Xg, Xb = _element_edge_traces(mesh, config)
-    shape = we.shape + (layout.nloc,)
+    tb = get_tri_basis(mesh, config.k)
+    pe, we, Xg, Xb = _element_edge_traces(mesh, config, elements)
     # The C0 variant's v0 block holds nodal values, not modal coefficients.
-    trans = nodal_to_modal(mesh, k)[:, None] if config.c0_type else None
+    trans = nodal_to_modal(mesh, config.k)[elements, None] if config.c0_type else None
 
     def jumps():
-        for comp, (dx, dy) in enumerate(((1, 0), (0, 1))):
-            J = np.zeros(shape)
-            grad = tb.eval(pe, dx=dx, dy=dy)
-            J[:, :, :, layout.v0] = grad if trans is None else grad @ trans
+        for p, (dx, dy), cols in _mismatches(layout):
+            J = np.zeros(we.shape + (layout.nloc,))
+            V = tb.eval(pe, dx=dx, dy=dy, elements=elements)
+            J[:, :, :, layout.v0] = V if trans is None else V @ trans
+            X = Xg if p == 1 else Xb
             for ledge in range(3):
-                J[:, ledge, :, layout.vg(ledge, comp)] = -Xg[:, ledge]
-            yield 1, J
-        if not config.c0_type:
-            J = np.zeros(shape)
-            J[:, :, :, layout.v0] = tb.eval(pe)
-            for ledge in range(3):
-                J[:, ledge, :, layout.vb(ledge)] = -Xb[:, ledge]
-            yield 3, J
+                J[:, ledge, :, cols[ledge]] = -X[:, ledge]
+            yield p, J
 
     return we, jumps()
 
 
-def stabilizer_local_parts(mesh, dofmap):
+def stabilizer_local_parts(mesh, dofmap, elements=slice(None)):
     """Unweighted boundary-mismatch Gram blocks of the stabilizer.
 
-    Returns ``(jump0, jump1)`` of shape (nt, nloc, nloc) such that the
-    local stabilizer is ``h_T**-3 * jump0 + h_T**-1 * jump1``; ``jump0``
-    is None in the C0 variant, where the value mismatch vanishes.
+    Returns ``(jump0, jump1)`` of shape (ne, nloc, nloc) for ``elements``
+    (all by default) such that the local stabilizer is
+    ``h_T**-3 * jump0 + h_T**-1 * jump1``; ``jump0`` is None in the C0
+    variant, where the value mismatch vanishes.
+    :func:`assemble_stabilizer` asks for one chunk of elements at a time.
     """
-    we, jumps = _edge_jumps(mesh, dofmap)
-    nt, nloc = mesh.n_triangles, dofmap.layout.nloc
-    jump0, jump1 = None, np.zeros((nt, nloc, nloc))
+    we, jumps = _edge_jumps(mesh, dofmap, elements)
+    jump0, jump1 = None, np.zeros(we.shape[:1] + (dofmap.layout.nloc,) * 2)
     for p, J in jumps:
-        if p == 3:
-            jump0 = np.empty_like(jump1)
-        for start in range(0, nt, _GRAM_CHUNK):
-            e = slice(start, start + _GRAM_CHUNK)
-            gram = np.einsum("etql,etqm,etq->elm", J[e], J[e], we[e], optimize=True)
-            if p == 1:
-                jump1[e] += gram
-            else:
-                jump0[e] = gram
+        gram = np.einsum("etql,etqm,etq->elm", J, J, we, optimize=True)
+        if p == 1:
+            jump1 += gram
+        else:
+            jump0 = gram
     return jump0, jump1
 
 
@@ -253,37 +280,35 @@ def stabilizer_energy(mesh, dofmap, primal):
 def assemble_stabilizer(mesh, dofmap):
     """Global stabilizer matrix S (symmetric PSD, CSR).
 
-    Each element block ``h**-3 * jump0 + h**-1 * jump1`` is averaged
-    with its transpose, the blocks are scattered, and the scattered
-    matrix is averaged with its transpose; exact zeros of that sum are
-    dropped.  Every step runs in place on the Gram blocks of
-    :func:`stabilizer_local_parts` or on the scattered matrix, so no
-    second set of blocks is ever held: the scratch memory is the
-    scatter's int32 index arrays, the COO-to-CSR conversion and one
-    transposed copy of S.
+    Built one chunk of ``_GRAM_CHUNK`` elements at a time: the chunk's
+    blocks ``h**-3 * jump0 + h**-1 * jump1`` of
+    :func:`stabilizer_local_parts` are averaged with their transposes at
+    the local pairs of :func:`_coupled_pairs`; every other local entry is
+    a structural zero and is never stored.  One scatter of the kept
+    entries gives S, and its exact zeros are dropped.  S needs no global
+    symmetrization: each averaged block is exactly symmetric, and two
+    distinct DOFs share at most two elements, so an off-diagonal entry
+    sums at most two terms and ``a + b == b + a``.  The temporaries are
+    one chunk's Gram blocks, the kept entries with their int32 indices
+    and the COO-to-CSR conversion.
     """
-    jump0, local = stabilizer_local_parts(mesh, dofmap)
+    nt = mesh.n_triangles
+    a, b = pairs = _coupled_pairs(dofmap.layout)
+    kept = np.empty((nt, a.size))
     h = mesh.h_t[:, None, None]
-    local /= h
-    if jump0 is not None:
-        jump0 /= h**3
-        jump0 += local
-        local = jump0
-    for start in range(0, mesh.n_triangles, _GRAM_CHUNK):
-        block = local[start : start + _GRAM_CHUNK]
-        block += block.transpose(0, 2, 1).copy()
+    for e in _chunks(nt):
+        jump0, local = stabilizer_local_parts(mesh, dofmap, e)
+        local /= h[e]
+        if jump0 is not None:
+            jump0 /= h[e] ** 3
+            jump0 += local
+            local = jump0
+        block = kept[e]
+        np.add(local[:, a, b], local[:, b, a], out=block)
         block *= 0.5
-    S = _scatter(local, dofmap.element_primal, dofmap.element_primal,
-                 (dofmap.n_primal, dofmap.n_primal))
-    del local
-    # Rows and columns scatter through the same ids, so S and S.T
-    # share one sorted pattern and their data line up entry by entry.
-    T = S.T.tocsr()
-    T.sort_indices()
-    S.data += T.data
-    del T
+    ids = dofmap.element_primal
+    S = _scatter(kept, ids, ids, pairs, (dofmap.n_primal, dofmap.n_primal))
     S.eliminate_zeros()
-    S.data *= 0.5
     return S
 
 
@@ -295,32 +320,38 @@ def assemble_constraint(mesh, dofmap, coeff, f, quad_degree=DATA_DEGREE_DEFAULT)
     ``F[n] = (f, sigma_n)_T``.  Coefficients and ``f`` are evaluated at
     interior quadrature points as ``fn(x, y, region=region)`` with the
     element region tags, by a rule of degree at least ``quad_degree``
-    and at least ``GEOMETRY_TRI_DEGREE(k)``.
+    and at least ``GEOMETRY_TRI_DEGREE(k)``, one chunk of
+    ``_GRAM_CHUNK`` elements at a time.
     """
     config = dofmap.config
     qd = max(quad_degree, GEOMETRY_TRI_DEGREE(config.k))
+    nt, ns, nloc = mesh.n_triangles, dofmap.ns, dofmap.layout.nloc
 
     hess = weak_hessian_local(mesh, config)
     sb = get_tri_basis(mesh, config.mult_degree)
     pts, w = get_element_rule(mesh, qd)
     region = mesh.region_tags[:, None]
-    x, y = pts[..., 0], pts[..., 1]
 
-    VS = sb.eval(pts)
-    a = coeff.entries(x, y, region)
-    B_local = np.zeros((mesh.n_triangles, dofmap.ns, dofmap.layout.nloc))
-    for (i, j), H in hess.items():
-        M = np.einsum("eqn,eqm,eq,eq->enm", VS, VS, a[f"{i}{j}"], w, optimize=True)
-        B_local += M @ H
+    B_local = np.zeros((nt, ns, nloc))
+    F_local = np.empty((nt, ns))
+    for e in _chunks(nt):
+        x, y = pts[e, :, 0], pts[e, :, 1]
+        VS = sb.eval(pts[e], elements=e)
+        a = coeff.entries(x, y, region[e])
+        # a["21"] is a["12"], so D_12 and D_21 share one contraction.
+        M = {ij: np.einsum("eqn,eqm,eq,eq->enm", VS, VS, a[ij], w[e], optimize=True)
+             for ij in ("11", "12", "22")}
+        for (i, j), H in hess.items():
+            B_local[e] += M[f"{min(i, j)}{max(i, j)}"] @ H[e]
 
-    fvals = np.asarray(f(x, y, region=region), dtype=float)
-    fvals = np.broadcast_to(fvals, x.shape)
-    if not np.all(np.isfinite(fvals)):
-        raise ValueError("right-hand side evaluation returned a non-finite value")
-    F_local = np.einsum("eqn,eq,eq->en", VS, fvals, w, optimize=True)
+        fvals = np.asarray(f(x, y, region=region[e]), dtype=float)
+        fvals = np.broadcast_to(fvals, x.shape)
+        if not np.all(np.isfinite(fvals)):
+            raise ValueError("right-hand side evaluation returned a non-finite value")
+        F_local[e] = np.einsum("eqn,eq,eq->en", VS, fvals, w[e], optimize=True)
 
-    B = _scatter(B_local, dofmap.element_mult, dofmap.element_primal,
-                 (dofmap.n_mult, dofmap.n_primal))
+    B = _scatter(B_local.reshape(nt, -1), dofmap.element_mult, dofmap.element_primal,
+                 np.indices((ns, nloc)).reshape(2, -1), (dofmap.n_mult, dofmap.n_primal))
     F = np.zeros(dofmap.n_mult)
     np.add.at(F, dofmap.element_mult.ravel(), F_local.ravel())
     return B, F
@@ -347,7 +378,7 @@ def apply_dirichlet(dofmap, mesh, g, quad_degree=DATA_DEGREE_DEFAULT):
         pts, w, t = get_edge_rule(mesh, max(quad_degree, GEOMETRY_EDGE_DEGREE(k)))
         pts, w = pts[bedges], w[bedges]
         gvals = np.asarray(g(pts[..., 0], pts[..., 1]), dtype=float)
-        X = get_edge_basis(mesh, k).eval_ref(t)[bedges]
+        X = get_edge_basis(mesh, k).eval_ref(t, bedges)
         values[:] = np.einsum("eqn,eq,eq->en", X, gvals, w, optimize=True).ravel()
     if not np.all(np.isfinite(values)):
         raise ValueError("boundary data evaluation returned a non-finite value")

@@ -194,8 +194,8 @@ class TriangleBasis:
         # coeff[e] maps orthonormal coefficients to monomial coefficients.
         self.coeff = np.transpose(np.linalg.inv(chol), (0, 2, 1))
 
-    def _vander(self, pts, dx=0, dy=0):
-        """Scaled-monomial (derivative) values, ``(nt, ..., dim)``.
+    def _vander(self, pts, dx=0, dy=0, elements=slice(None)):
+        """Scaled-monomial (derivative) values, ``(ne, ..., dim)``.
 
         Column ``(a, b)`` is ``fac * xi**(a - dx) * eta**(b - dy)`` divided
         by ``h**(dx + dy)``, with exponents clipped at 0 where ``fac`` is 0.
@@ -204,8 +204,8 @@ class TriangleBasis:
         the one-``pow``-per-column formula.
         """
         extra = pts.ndim - 2
-        c = self.centers.reshape((-1,) + (1,) * extra + (2,))
-        s = self.scales.reshape((-1,) + (1,) * extra)
+        c = self.centers[elements].reshape((-1,) + (1,) * extra + (2,))
+        s = self.scales[elements].reshape((-1,) + (1,) * extra)
         xi = (pts[..., 0] - c[..., 0]) / s
         eta = (pts[..., 1] - c[..., 1]) / s
         a = np.maximum(self.exps[:, 0] - dx, 0)
@@ -217,22 +217,26 @@ class TriangleBasis:
         fac = _falling(self.exps[:, 0], dx) * _falling(self.exps[:, 1], dy)
         return fac * X * Y / s[..., None] ** (dx + dy)
 
-    def eval(self, pts, dx=0, dy=0):
+    def eval(self, pts, dx=0, dy=0, elements=slice(None)):
         """Basis (derivative) values at points.
 
         Parameters
         ----------
-        pts : (nt, ..., 2) array
-            Physical points, leading axis aligned with elements.
+        pts : (ne, ..., 2) array
+            Physical points, leading axis aligned with ``elements``.
         dx, dy : int
             Derivative orders.
+        elements : slice
+            The elements the points lie in, all of them by default.  Each
+            element's values do not depend on which others are evaluated
+            with it, so a slice gives bitwise the rows of the whole mesh.
 
         Returns
         -------
-        (nt, ..., dim) array
+        (ne, ..., dim) array
         """
-        V = self._vander(pts, dx=dx, dy=dy)
-        return np.einsum("e...m,emn->e...n", V, self.coeff, optimize=True)
+        V = self._vander(pts, dx=dx, dy=dy, elements=elements)
+        return np.einsum("e...m,emn->e...n", V, self.coeff[elements], optimize=True)
 
 
 class EdgeBasis:
@@ -249,10 +253,14 @@ class EdgeBasis:
         lengths = mesh.edge_lengths
         self.norms = np.sqrt((2.0 * np.arange(self.dim) + 1.0)[None, :] / lengths[:, None])
 
-    def eval_ref(self, t):
-        """Values at reference parameters ``t``; shape (ne, len(t), dim)."""
+    def eval_ref(self, t, edges=slice(None)):
+        """Values at reference parameters ``t`` on ``edges`` (all by default).
+
+        The shape is ``norms[edges].shape[:-1] + (len(t), dim)``, so an
+        (nt, 3) array of edge ids gives each element's three edges.
+        """
         P = np.polynomial.legendre.legvander(np.asarray(t, dtype=float), self.degree)
-        return P[None, :, :] * self.norms[:, None, :]
+        return P * self.norms[edges][..., None, :]
 
 
 def _physical_element_rule(mesh, rule):

@@ -329,21 +329,21 @@ def build_dof_map(mesh, config):
     )
 
 
-def _element_edge_traces(mesh, config):
-    """Edge quadrature of every element and the edge bases at its points.
+def _element_edge_traces(mesh, config, elements=slice(None)):
+    """Edge quadrature of elements and the edge bases at their points.
 
-    Returns ``(pe, we, Xg, Xb)``: points (nt, 3, nq, 2) and weights
-    (nt, 3, nq) of the degree-``GEOMETRY_EDGE_DEGREE(k)`` rule on the
-    three edges of each element, in local edge order, and the degree
-    ``k - 1`` (``vg``) and degree ``k`` (``vb``) edge bases at those
-    points, (nt, 3, nq, dim).  ``Xb`` is None in the C0 variant, which
-    has no ``vb`` block.
+    Returns ``(pe, we, Xg, Xb)`` for ``elements`` (all by default):
+    points (ne, 3, nq, 2) and weights (ne, 3, nq) of the
+    degree-``GEOMETRY_EDGE_DEGREE(k)`` rule on the three edges of each
+    element, in local edge order, and the degree ``k - 1`` (``vg``) and
+    degree ``k`` (``vb``) edge bases at those points, (ne, 3, nq, dim).
+    ``Xb`` is None in the C0 variant, which has no ``vb`` block.
     """
     k = config.k
     epts, ew, t = get_edge_rule(mesh, GEOMETRY_EDGE_DEGREE(k))
-    g = mesh.tri_edges
-    Xg = get_edge_basis(mesh, k - 1).eval_ref(t)[g]
-    Xb = None if config.c0_type else get_edge_basis(mesh, k).eval_ref(t)[g]
+    g = mesh.tri_edges[elements]
+    Xg = get_edge_basis(mesh, k - 1).eval_ref(t, g)
+    Xb = None if config.c0_type else get_edge_basis(mesh, k).eval_ref(t, g)
     return epts[g], ew[g], Xg, Xb
 
 

@@ -10,9 +10,11 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+import pdwg.assembly
 from pdwg.assembly import (
     _GRAM_CHUNK,
     CoefficientField,
+    _coupled_pairs,
     _edge_jumps,
     apply_dirichlet,
     assemble_constraint,
@@ -24,7 +26,13 @@ from pdwg.assembly import (
     stabilizer_local_parts,
 )
 from pdwg.mesh import DomainSpec, build_initial_mesh, refine_uniform
-from pdwg.polyquad import get_edge_basis, get_element_rule, get_tri_basis, project_element
+from pdwg.polyquad import (
+    GEOMETRY_TRI_DEGREE,
+    get_edge_basis,
+    get_element_rule,
+    get_tri_basis,
+    project_element,
+)
 from pdwg.problems import builtin
 from pdwg.wgspace import (
     SpaceConfig,
@@ -184,17 +192,22 @@ def stabilizer_whole_array(mesh, dm):
 
 
 @pytest.mark.parametrize("c0", [True, False])
-def test_stabilizer_bitwise_equals_whole_array_formula(c0):
+def test_stabilizer_bitwise_equals_whole_array_formula(monkeypatch, c0):
     # More elements than one Gram chunk: the chunked contractions and the
     # in-place averaging must give the whole-array S bit for bit,
-    # including the exact zeros that the sparse sum drops.
+    # including the exact zeros that the sparse sum drops, also when the
+    # last chunk is partial.
     mesh = mesh_hierarchy("unit_square", 5)[-1]  # p5's domain, fresh memo
     assert mesh.n_triangles > _GRAM_CHUNK
+    assert mesh.n_triangles % 700
     config = SpaceConfig(k=2, multiplier_space="pkm1" if c0 else "pkm2", c0_type=c0)
     dm = build_dof_map(mesh, config)
-    S = assemble_stabilizer(mesh, dm)
-    assert_csr_bitwise_equal(S, stabilizer_whole_array(mesh, dm))
-    assert (S != S.T).nnz == 0
+    want = stabilizer_whole_array(mesh, dm)
+    for chunk in (_GRAM_CHUNK, 700):
+        monkeypatch.setattr(pdwg.assembly, "_GRAM_CHUNK", chunk)
+        S = assemble_stabilizer(mesh, dm)
+        assert_csr_bitwise_equal(S, want)
+        assert (S != S.T).nnz == 0
 
 
 def test_stabilizer_scratch_memory_bounded():
@@ -215,7 +228,92 @@ def test_stabilizer_scratch_memory_bounded():
     assert peak <= 5.0 * blocks
 
 
+@pytest.mark.parametrize("c0", [False, True])
+def test_stabilizer_streams_by_chunks(c0):
+    # At level 6 (8,192 elements, 8 chunks) S is built one chunk of Gram
+    # blocks at a time and keeps only the coupled local pairs, so the peak
+    # stays well below two whole-mesh sets of blocks: 3.84-3.87 blocks
+    # with whole-mesh Gram arrays, 1.76 (general) and 2.34 (C0) streamed.
+    mesh = mesh_hierarchy("unit_square", 6)[-1]  # p5's domain, fresh memo
+    assert mesh.n_triangles >= 8 * _GRAM_CHUNK
+    config = SpaceConfig(k=2, multiplier_space="pkm1" if c0 else "pkm2", c0_type=c0)
+    dm = build_dof_map(mesh, config)
+    stabilizer_local_parts(mesh, dm, slice(0, 1))  # builds the bases and rules S reads
+    tracemalloc.start()
+    try:
+        assemble_stabilizer(mesh, dm)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    blocks = mesh.n_triangles * dm.layout.nloc**2 * 8
+    assert peak <= 2.5 * blocks
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+@pytest.mark.parametrize("c0", [False, True])
+def test_coupled_pairs_hold_every_nonzero_of_the_local_blocks(unit_meshes, k, c0):
+    # assemble_stabilizer scatters only the pairs of _coupled_pairs; every
+    # other entry of the h-weighted local blocks must be an exact zero.
+    mesh = unit_meshes[1]
+    dm = build_dof_map(mesh, SpaceConfig(k=k, c0_type=c0))
+    jump0, jump1 = stabilizer_local_parts(mesh, dm)
+    h = mesh.h_t[:, None, None]
+    local = jump1 / h if jump0 is None else jump0 / h**3 + jump1 / h
+    nloc = dm.layout.nloc
+    mask = np.zeros((nloc, nloc), dtype=bool)
+    mask[_coupled_pairs(dm.layout)] = True
+    assert np.array_equal(mask, mask.T)
+    assert 0 < mask.sum() < nloc**2
+    assert np.all(local[:, ~mask] == 0.0)
+
+
 # -- constraint block ----------------------------------------------------------
+
+def constraint_whole_array(mesh, dm, problem):
+    """B and F by the whole-array formula: coefficients, load and bases at
+    every element's points at once, one contraction per (i, j), an int64
+    COO scatter and ``np.add.at``."""
+    config = dm.config
+    qd = max(problem.quad_degree, GEOMETRY_TRI_DEGREE(config.k))
+    pts, w = get_element_rule(mesh, qd)
+    x, y = pts[..., 0], pts[..., 1]
+    region = mesh.region_tags[:, None]
+    VS = get_tri_basis(mesh, config.mult_degree).eval(pts)
+    a = problem.coeff.entries(x, y, region)
+    ns, nloc = dm.ns, dm.layout.nloc
+    B_local = np.zeros((mesh.n_triangles, ns, nloc))
+    for (i, j), H in weak_hessian_local(mesh, config).items():
+        M = np.einsum("eqn,eqm,eq,eq->enm", VS, VS, a[f"{i}{j}"], w, optimize=True)
+        B_local += M @ H
+    fvals = np.broadcast_to(problem.f(x, y, region=region), x.shape)
+    F_local = np.einsum("eqn,eq,eq->en", VS, fvals, w, optimize=True)
+    rows = np.repeat(dm.element_mult[:, :, None], nloc, axis=2)
+    cols = np.repeat(dm.element_primal[:, None, :], ns, axis=1)
+    B = sp.coo_matrix((B_local.ravel(), (rows.ravel(), cols.ravel())),
+                      shape=(dm.n_mult, dm.n_primal)).tocsr()
+    F = np.zeros(dm.n_mult)
+    np.add.at(F, dm.element_mult.ravel(), F_local.ravel())
+    return B, F
+
+
+@pytest.mark.parametrize("chunk", [_GRAM_CHUNK, 700])
+@pytest.mark.parametrize("c0", [True, False])
+def test_constraint_bitwise_equals_whole_array_formula(monkeypatch, chunk, c0):
+    # B and F are built one chunk of elements at a time, with one
+    # contraction shared by D_12 and D_21; on p4 (region-tagged jumping
+    # tensor, degree-20 data) they equal the whole-array formula bit for
+    # bit, also when the last chunk is partial.
+    problem = builtin("p4")
+    mesh = mesh_hierarchy(problem.domain.kind, 4)[-1]  # 2,048 elements
+    monkeypatch.setattr(pdwg.assembly, "_GRAM_CHUNK", chunk)
+    assert mesh.n_triangles > chunk
+    config = SpaceConfig(k=2, multiplier_space="pkm1" if c0 else "pkm2", c0_type=c0)
+    dm = build_dof_map(mesh, config)
+    B, F = assemble_constraint(mesh, dm, problem.coeff, problem.f, problem.quad_degree)
+    B_ref, F_ref = constraint_whole_array(mesh, dm, problem)
+    assert_csr_bitwise_equal(B, B_ref)
+    np.testing.assert_array_equal(F.view(np.int64), F_ref.view(np.int64))
+
 
 def test_zero_coefficients_zero_rhs(unit_meshes):
     mesh = unit_meshes[1]

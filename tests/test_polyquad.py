@@ -11,6 +11,7 @@ from pdwg.polyquad import (
     edge_quadrature,
     eval_edge_poly,
     eval_element_poly,
+    get_edge_basis,
     get_edge_rule,
     get_element_rule,
     get_tri_basis,
@@ -230,6 +231,29 @@ def test_projection_orthogonality(unit_meshes):
     V = get_tri_basis(mesh, 2).eval(pts)
     moments = np.einsum("eqn,eq,eq->en", V, resid, w)
     assert np.abs(moments).max() < 1e-13
+
+
+def test_tri_basis_eval_on_element_slices_is_bitwise_the_whole_mesh(unit_meshes):
+    # Assembly evaluates bases one chunk of elements at a time: an
+    # element's values must not depend on the others evaluated with it.
+    mesh = unit_meshes[3]
+    epts = get_edge_rule(mesh, 6)[0][mesh.tri_edges]
+    for pts in (get_element_rule(mesh, 20)[0], epts):
+        for degree in (1, 2, 3):
+            basis = get_tri_basis(mesh, degree)
+            for dx, dy in ((0, 0), (1, 0), (0, 1), (1, 1), (0, 2)):
+                whole = basis.eval(pts, dx=dx, dy=dy)
+                for e in (slice(0, 37), slice(37, 300), slice(300, None)):
+                    part = basis.eval(pts[e], dx=dx, dy=dy, elements=e)
+                    np.testing.assert_array_equal(part.view(np.int64), whole[e].view(np.int64))
+
+
+def test_edge_basis_on_chosen_edges(unit_meshes):
+    mesh = unit_meshes[2]
+    _, _, t = get_edge_rule(mesh, 6)
+    basis = get_edge_basis(mesh, 2)
+    for edges in (mesh.tri_edges, mesh.tri_edges[5:9], np.flatnonzero(mesh.is_boundary_edge)):
+        np.testing.assert_array_equal(basis.eval_ref(t, edges), basis.eval_ref(t)[edges])
 
 
 # -- edge projection ---------------------------------------------------------
