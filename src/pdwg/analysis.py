@@ -37,11 +37,13 @@ from .mesh import _write_text, build_initial_mesh, refine_uniform
 from .polyquad import (
     DATA_DEGREE_DEFAULT,
     GEOMETRY_TRI_DEGREE,
+    _chunks,
     _edge_points,
     eval_element_poly,
     get_element_rule,
     get_tri_basis,
     project_edge,
+    triangle_quadrature,
 )
 from .problems import cordes_check, cordes_samples
 from .solver import solve
@@ -132,7 +134,8 @@ def error_norms(sol, problem):
 
     Mesh, DOF map and stabilizer are those of ``sol.system``.
     ``e0_true`` and the ``eb`` projection integrate at degree
-    ``max(problem.quad_degree, GEOMETRY_TRI_DEGREE(k))``.
+    ``max(problem.quad_degree, GEOMETRY_TRI_DEGREE(k))``; ``e0_true``
+    evaluates ``exact_u`` one chunk of elements at a time.
     """
     if problem.exact_u is None or problem.exact_grad_u is None:
         raise ValueError("problem has no exact solution to compare against")
@@ -145,9 +148,14 @@ def error_norms(sol, problem):
     ih = lagrange_interpolant(problem.exact_u, mesh, k)
     e0 = float(np.linalg.norm(u0 - ih))
 
-    pts, w = get_element_rule(mesh, qd)
-    diff = eval_element_poly(mesh, k, u0, pts) - problem.exact_u(pts[..., 0], pts[..., 1])
-    e0_true = float(np.sqrt(np.sum(w * diff**2)))
+    nt = mesh.n_triangles
+    sq = np.empty((nt, triangle_quadrature(qd).weights.size))
+    for e in _chunks(nt):
+        pts, w = get_element_rule(mesh, qd, e)
+        uh = eval_element_poly(mesh, k, u0[e], pts, elements=e)
+        diff = uh - problem.exact_u(pts[..., 0], pts[..., 1])
+        sq[e] = w * diff**2
+    e0_true = float(np.sqrt(np.sum(sq)))
 
     wsum = _edge_weights(mesh)
     ig = edge_gradient_interpolant(problem.exact_grad_u, mesh, k - 1)
@@ -194,40 +202,43 @@ def discrete_norms(primal, mesh, config, coeff):
     replaces the projected strong Hessian with the discrete weak Hessian
     of the full triplet.  Both include the stabilizer energy, summed from
     squared pointwise jumps by :func:`~pdwg.assembly.stabilizer_energy`.
+    The integrands are formed one chunk of elements at a time.
     """
     dofmap = build_dof_map(mesh, config)
     qd = max(GEOMETRY_TRI_DEGREE(config.k), DATA_DEGREE_DEFAULT)
     primal = np.asarray(primal, dtype=float)
 
-    hess = weak_hessian_local(mesh, config)
     local = dofmap.local_vectors(primal)
-    sdeg = config.mult_degree
-    basis_s = get_tri_basis(mesh, sdeg)
-    pts, w = get_element_rule(mesh, qd)
-    VS = basis_s.eval(pts)
-    a = coeff.entries(pts[..., 0], pts[..., 1], mesh.region_tags[:, None])
-
+    basis_s = get_tri_basis(mesh, config.mult_degree)
     u0 = dofmap.u0_coefficients(primal, mesh)
     basis_k = get_tri_basis(mesh, config.k)
+    region = mesh.region_tags[:, None]
 
-    weak_vals = np.zeros(pts.shape[:2])
-    strong_vals = np.zeros(pts.shape[:2])
-    for i, j in ((1, 1), (1, 2), (2, 1), (2, 2)):
-        dij = apply_weak_hessian(local, hess, i, j)  # (nt, ns)
-        weak_vals += a[f"{i}{j}"] * np.einsum("eqn,en->eq", VS, dij, optimize=True)
-        d2 = np.einsum(
-            "eqn,en->eq",
-            basis_k.eval(pts, dx=(i == 1) + (j == 1), dy=(i == 2) + (j == 2)),
-            u0,
-            optimize=True,
-        )
-        strong_vals += a[f"{i}{j}"] * d2
-    # Project the strong combination onto the multiplier space per element.
-    strong_coeff = np.einsum("eqn,eq,eq->en", VS, strong_vals, w, optimize=True)
+    nt = mesh.n_triangles
+    strong_coeff = np.empty((nt, basis_s.dim))
+    weak_sq = np.empty((nt, triangle_quadrature(qd).weights.size))
+    for e in _chunks(nt):
+        hess = weak_hessian_local(mesh, config, e)
+        pts, w = get_element_rule(mesh, qd, e)
+        VS = basis_s.eval(pts, elements=e)
+        a = coeff.entries(pts[..., 0], pts[..., 1], region[e])
+        weak_vals = np.zeros(pts.shape[:2])
+        strong_vals = np.zeros(pts.shape[:2])
+        for i, j in ((1, 1), (1, 2), (2, 1), (2, 2)):
+            dij = apply_weak_hessian(local[e], hess, i, j)  # (ne, ns)
+            weak_vals += a[f"{i}{j}"] * np.einsum("eqn,en->eq", VS, dij, optimize=True)
+            dx, dy = (i == 1) + (j == 1), (i == 2) + (j == 2)
+            d2 = np.einsum(
+                "eqn,en->eq", basis_k.eval(pts, dx, dy, elements=e), u0[e], optimize=True
+            )
+            strong_vals += a[f"{i}{j}"] * d2
+        # Project the strong combination onto the multiplier space per element.
+        strong_coeff[e] = np.einsum("eqn,eq,eq->en", VS, strong_vals, w, optimize=True)
+        weak_sq[e] = w * weak_vals**2
 
     s_energy = stabilizer_energy(mesh, dofmap, primal)
     norm_2h = float(np.sqrt(np.sum(strong_coeff**2) + s_energy))
-    triple = float(np.sqrt(np.sum(w * weak_vals**2) + s_energy))
+    triple = float(np.sqrt(np.sum(weak_sq) + s_energy))
     return NormReport(norm_2h=norm_2h, triple_norm=triple, s_energy=s_energy)
 
 

@@ -34,6 +34,7 @@ from .polyquad import (
     DATA_DEGREE_DEFAULT,
     GEOMETRY_EDGE_DEGREE,
     GEOMETRY_TRI_DEGREE,
+    _chunks,
     get_edge_basis,
     get_edge_rule,
     get_element_rule,
@@ -154,17 +155,6 @@ class SaddleSystem:
         return np.concatenate([np.zeros(self.n_primal), self.F])
 
 
-#: Elements per step of the stabilizer and constraint assembly.  Bounds
-#: their temporaries; each element's sums run in the same order as over the
-#: whole mesh, so it does not change a bit of ``S``, ``B`` or ``F``.
-_GRAM_CHUNK = 1024
-
-
-def _chunks(nt):
-    """Slices of ``_GRAM_CHUNK`` consecutive elements covering ``nt``."""
-    return (slice(start, start + _GRAM_CHUNK) for start in range(0, nt, _GRAM_CHUNK))
-
-
 def _scatter(values, rows, cols, pairs, shape):
     """Sum per-element entries into one CSR matrix.
 
@@ -172,11 +162,12 @@ def _scatter(values, rows, cols, pairs, shape):
     ``(rows[e, a[i]], cols[e, b[i]])``.  The index arrays are gathered
     directly in the index type that ``coo_matrix`` keeps (int32 unless
     ``shape`` needs more), so the COO stage holds no wider copy of them.
+    ``np.take`` returns them C-ordered, so ``ravel`` copies nothing more.
     """
     idx = np.int32 if max(shape) <= np.iinfo(np.int32).max else np.int64
     a, b = pairs
-    r = rows.astype(idx)[:, a].ravel()
-    c = cols.astype(idx)[:, b].ravel()
+    r = np.take(rows.astype(idx), a, axis=1).ravel()
+    c = np.take(cols.astype(idx), b, axis=1).ravel()
     return sp.coo_matrix((values.ravel(), (r, c)), shape=shape).tocsr()
 
 
@@ -266,21 +257,31 @@ def stabilizer_energy(mesh, dofmap, primal):
     trace unknown) at edge quadrature points, then squares — unlike the
     assembled quadratic form, no cancellation of large terms occurs, so
     conforming inputs give the square of a round-off mismatch, far below
-    the cancellation floor of ``v @ (S @ v)``.
+    the cancellation floor of ``v @ (S @ v)``.  The mismatches are formed
+    one chunk of elements at a time; each one's weighted squares are
+    summed over the whole mesh at once.
     """
     loc = dofmap.local_vectors(np.asarray(primal, dtype=float))
-    we, jumps = _edge_jumps(mesh, dofmap)
+    nt = mesh.n_triangles
+    h = mesh.h_t[:, None, None]
+    squares = []  # per mismatch, (nt, 3, nq)
+    for e in _chunks(nt):
+        we, jumps = _edge_jumps(mesh, dofmap, e)
+        for m, (p, J) in enumerate(jumps):
+            if m == len(squares):
+                squares.append(np.empty((nt,) + we.shape[1:]))
+            jump = np.einsum("etql,el->etq", J, loc[e], optimize=True)
+            squares[m][e] = (jump**2 * we) / h[e] ** p
     energy = 0.0
-    for p, J in jumps:
-        jump = np.einsum("etql,el->etq", J, loc, optimize=True)
-        energy += float(np.sum((jump**2 * we) / mesh.h_t[:, None, None] ** p))
+    for sq in squares:
+        energy += float(np.sum(sq))
     return energy
 
 
 def assemble_stabilizer(mesh, dofmap):
     """Global stabilizer matrix S (symmetric PSD, CSR).
 
-    Built one chunk of ``_GRAM_CHUNK`` elements at a time: the chunk's
+    Built one chunk of elements at a time: the chunk's
     blocks ``h**-3 * jump0 + h**-1 * jump1`` of
     :func:`stabilizer_local_parts` are averaged with their transposes at
     the local pairs of :func:`_coupled_pairs`; every other local entry is
@@ -320,35 +321,34 @@ def assemble_constraint(mesh, dofmap, coeff, f, quad_degree=DATA_DEGREE_DEFAULT)
     ``F[n] = (f, sigma_n)_T``.  Coefficients and ``f`` are evaluated at
     interior quadrature points as ``fn(x, y, region=region)`` with the
     element region tags, by a rule of degree at least ``quad_degree``
-    and at least ``GEOMETRY_TRI_DEGREE(k)``, one chunk of
-    ``_GRAM_CHUNK`` elements at a time.
+    and at least ``GEOMETRY_TRI_DEGREE(k)``, one chunk of elements at a
+    time, together with that chunk's weak Hessians.
     """
     config = dofmap.config
     qd = max(quad_degree, GEOMETRY_TRI_DEGREE(config.k))
     nt, ns, nloc = mesh.n_triangles, dofmap.ns, dofmap.layout.nloc
 
-    hess = weak_hessian_local(mesh, config)
     sb = get_tri_basis(mesh, config.mult_degree)
-    pts, w = get_element_rule(mesh, qd)
     region = mesh.region_tags[:, None]
 
     B_local = np.zeros((nt, ns, nloc))
     F_local = np.empty((nt, ns))
     for e in _chunks(nt):
-        x, y = pts[e, :, 0], pts[e, :, 1]
-        VS = sb.eval(pts[e], elements=e)
+        pts, w = get_element_rule(mesh, qd, e)
+        x, y = pts[..., 0], pts[..., 1]
+        VS = sb.eval(pts, elements=e)
         a = coeff.entries(x, y, region[e])
         # a["21"] is a["12"], so D_12 and D_21 share one contraction.
-        M = {ij: np.einsum("eqn,eqm,eq,eq->enm", VS, VS, a[ij], w[e], optimize=True)
+        M = {ij: np.einsum("eqn,eqm,eq,eq->enm", VS, VS, a[ij], w, optimize=True)
              for ij in ("11", "12", "22")}
-        for (i, j), H in hess.items():
-            B_local[e] += M[f"{min(i, j)}{max(i, j)}"] @ H[e]
+        for (i, j), H in weak_hessian_local(mesh, config, e).items():
+            B_local[e] += M[f"{min(i, j)}{max(i, j)}"] @ H
 
         fvals = np.asarray(f(x, y, region=region[e]), dtype=float)
         fvals = np.broadcast_to(fvals, x.shape)
         if not np.all(np.isfinite(fvals)):
             raise ValueError("right-hand side evaluation returned a non-finite value")
-        F_local[e] = np.einsum("eqn,eq,eq->en", VS, fvals, w[e], optimize=True)
+        F_local[e] = np.einsum("eqn,eq,eq->en", VS, fvals, w, optimize=True)
 
     B = _scatter(B_local.reshape(nt, -1), dofmap.element_mult, dofmap.element_primal,
                  np.indices((ns, nloc)).reshape(2, -1), (dofmap.n_mult, dofmap.n_primal))

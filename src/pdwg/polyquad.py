@@ -14,6 +14,13 @@ matrix.  With orthonormal bases every L2 projection reduces to plain
 moment evaluation and coefficient vectors carry the L2 norm directly.
 Edge bases are Legendre polynomials in the arclength parameter of the
 edge, normalized by edge length, hence orthonormal analytically.
+
+Work at quadrature resolution (basis values at element quadrature
+points, mapped rules, function values) runs over one chunk of
+``_GRAM_CHUNK`` consecutive elements at a time (see :func:`_chunks`), so
+no array over the whole mesh times the points of a rule is built or
+kept.  Each element's arithmetic does not depend on the other elements
+of its chunk, so the chunk size changes no bit of any result.
 """
 
 from __future__ import annotations
@@ -54,6 +61,16 @@ GEOMETRY_EDGE_DEGREE = lambda k: 2 * k + 2  # noqa: E731
 #: Default exactness for data-dependent integrands (projections of given
 #: functions, right-hand sides, error norms).  Rough problems pin 20.
 DATA_DEGREE_DEFAULT = 12
+
+#: Elements per step of every computation at quadrature resolution.
+#: Bounds its temporaries to a few megabytes; each element's sums run in
+#: the same order as over the whole mesh, so it changes no bit.
+_GRAM_CHUNK = 1024
+
+
+def _chunks(nt):
+    """Slices of ``_GRAM_CHUNK`` consecutive elements covering ``nt``."""
+    return (slice(start, start + _GRAM_CHUNK) for start in range(0, nt, _GRAM_CHUNK))
 
 
 @dataclass(frozen=True)
@@ -160,7 +177,8 @@ class TriangleBasis:
 
     The basis of element ``T`` spans polynomials of total degree
     ``degree`` in monomials ``((x - c_T) / h_T)^a ((y - c_T) / h_T)^b``,
-    orthonormalized in ``L2(T)``.  All elements are processed in batch.
+    orthonormalized in ``L2(T)``.  The Gram matrices are integrated one
+    chunk of elements at a time; the factorizations run over all of them.
     """
 
     def __init__(self, mesh, degree):
@@ -169,10 +187,12 @@ class TriangleBasis:
         self.dim = self.exps.shape[0]
         self.centers = mesh.centroids
         self.scales = mesh.h_t
-        rule = triangle_quadrature(min(2 * self.degree + 2, MAX_EXACT_DEGREE))
-        pts, w = _physical_element_rule(mesh, rule)
-        V = self._vander(pts)
-        gram = np.einsum("eqi,eqj,eq->eij", V, V, w, optimize=True)
+        qd = min(2 * self.degree + 2, MAX_EXACT_DEGREE)
+        gram = np.empty((mesh.n_triangles, self.dim, self.dim))
+        for e in _chunks(mesh.n_triangles):
+            pts, w = get_element_rule(mesh, qd, e)
+            V = self._vander(pts, elements=e)
+            gram[e] = np.einsum("eqi,eqj,eq->eij", V, V, w, optimize=True)
         cause = (
             f"Gram matrix of the scaled-monomial basis of degree {self.degree} "
             "is too ill-conditioned: an element is too flat or the degree too high"
@@ -263,15 +283,21 @@ class EdgeBasis:
         return P * self.norms[edges][..., None, :]
 
 
-def _physical_element_rule(mesh, rule):
-    p = mesh.corners
+def get_element_rule(mesh, degree, elements=slice(None)):
+    """Physical points (ne, nq, 2) and weights (ne, nq) of the degree-``degree`` rule.
+
+    Mapped for ``elements`` (all by default) on every call, not cached:
+    callers ask for one chunk at a time.
+    """
+    rule = triangle_quadrature(degree)
+    p = mesh.corners[elements]
     x, y = rule.points[:, 0], rule.points[:, 1]
     pts = (
         p[:, None, 0, :]
         + x[None, :, None] * (p[:, 1, :] - p[:, 0, :])[:, None, :]
         + y[None, :, None] * (p[:, 2, :] - p[:, 0, :])[:, None, :]
     )
-    w = rule.weights[None, :] * (2.0 * mesh.areas)[:, None]
+    w = rule.weights[None, :] * (2.0 * mesh.areas[elements])[:, None]
     return pts, w
 
 
@@ -303,12 +329,6 @@ def get_edge_basis(mesh, degree):
 
 
 @_per_mesh
-def get_element_rule(mesh, degree):
-    """Physical points/weights of the degree-``degree`` triangle rule."""
-    return _physical_element_rule(mesh, triangle_quadrature(degree))
-
-
-@_per_mesh
 def get_edge_rule(mesh, degree):
     """Physical points/weights and reference parameters on all edges."""
     return _physical_edge_rule(mesh, edge_quadrature(degree))
@@ -322,7 +342,9 @@ def project_element(f, degree, mesh, quad_degree=None):
     Parameters
     ----------
     f : callable
-        Vectorized ``f(x, y)`` over coordinate arrays.
+        Vectorized ``f(x, y)`` over coordinate arrays.  It is called on
+        one chunk of elements at a time, so it must be pointwise: the
+        value at a point may depend only on that point's coordinates.
     degree : int
     mesh : Mesh
     quad_degree : int, optional
@@ -338,12 +360,15 @@ def project_element(f, degree, mesh, quad_degree=None):
     """
     qd = quad_degree if quad_degree is not None else max(2 * degree + 2, DATA_DEGREE_DEFAULT)
     basis = get_tri_basis(mesh, degree)
-    pts, w = get_element_rule(mesh, qd)
-    vals = np.asarray(f(pts[..., 0], pts[..., 1]), dtype=float)
-    if not np.all(np.isfinite(vals)):
-        raise ValueError("function evaluation returned a non-finite value")
-    V = basis.eval(pts)
-    return np.einsum("eqn,eq,eq->en", V, vals, w, optimize=True)
+    out = np.empty((mesh.n_triangles, basis.dim))
+    for e in _chunks(mesh.n_triangles):
+        pts, w = get_element_rule(mesh, qd, e)
+        vals = np.asarray(f(pts[..., 0], pts[..., 1]), dtype=float)
+        if not np.all(np.isfinite(vals)):
+            raise ValueError("function evaluation returned a non-finite value")
+        V = basis.eval(pts, elements=e)
+        out[e] = np.einsum("eqn,eq,eq->en", V, vals, w, optimize=True)
+    return out
 
 
 def project_edge(f, degree, mesh, quad_degree=None):
@@ -367,10 +392,13 @@ def project_edge(f, degree, mesh, quad_degree=None):
     raise ValueError(f"unexpected shape {vals.shape} from edge function evaluation")
 
 
-def eval_element_poly(mesh, degree, coeffs, pts, dx=0, dy=0):
-    """Evaluate per-element polynomials given orthonormal coefficients."""
-    basis = get_tri_basis(mesh, degree)
-    return np.einsum("e...n,en->e...", basis.eval(pts, dx=dx, dy=dy), coeffs, optimize=True)
+def eval_element_poly(mesh, degree, coeffs, pts, dx=0, dy=0, elements=slice(None)):
+    """Evaluate per-element polynomials given orthonormal coefficients.
+
+    ``pts`` and ``coeffs`` are aligned with ``elements`` (all by default).
+    """
+    V = get_tri_basis(mesh, degree).eval(pts, dx=dx, dy=dy, elements=elements)
+    return np.einsum("e...n,en->e...", V, coeffs, optimize=True)
 
 
 def eval_edge_poly(mesh, degree, coeffs, t):

@@ -23,8 +23,8 @@ using that vb is the trace of v0)::
     (D_ij(v), phi)_T = -(d_i v0, d_j phi)_T + <vg_i, phi n_j>_bnd(T)
 
 The multiplier space per element is either ``P_{k-2}`` or ``P_{k-1}``.
-All operators are assembled in batch as dense per-element matrices acting
-on the element-local DOF vector.
+All operators are dense per-element matrices acting on the element-local
+DOF vector, built for one chunk of elements at a time.
 """
 
 from __future__ import annotations
@@ -37,6 +37,7 @@ from .mesh import _per_mesh, outward_normals
 from .polyquad import (
     GEOMETRY_EDGE_DEGREE,
     GEOMETRY_TRI_DEGREE,
+    _chunks,
     get_edge_basis,
     get_edge_rule,
     get_element_rule,
@@ -211,8 +212,10 @@ def nodal_to_modal(mesh, k):
     """Per-element map from Lagrange nodal values to orthonormal coefficients."""
     nodes = lagrange_nodes(mesh, k)
     basis = get_tri_basis(mesh, k)
-    V = basis.eval(nodes.coords[nodes.element_nodes])  # (nt, n0, n0)
-    return np.linalg.inv(V)
+    out = np.empty((mesh.n_triangles, basis.dim, basis.dim))
+    for e in _chunks(mesh.n_triangles):
+        out[e] = np.linalg.inv(basis.eval(nodes.coords[nodes.element_nodes[e]], elements=e))
+    return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -347,53 +350,52 @@ def _element_edge_traces(mesh, config, elements=slice(None)):
     return epts[g], ew[g], Xg, Xb
 
 
-# No caller asks for the same weak Hessian twice, yet it stays cached:
-# building both assemble-p5-L7 variants in one process peaked at 1,112 MB
-# with the cache and 1,160 MB without, because freeing its large blocks
-# raises glibc's dynamic mmap threshold, so later large arrays come from
-# the heap.
-@_per_mesh
-def weak_hessian_local(mesh, config):
+def weak_hessian_local(mesh, config, elements=slice(None)):
     """Per-element matrices of the four discrete weak second derivatives.
 
-    Returns a dict whose entry ``(i, j)`` has shape (nt, dim S, nloc) and
-    maps the element-local primal vector to the orthonormal coefficients
-    of ``D_ij`` in the multiplier space.  Cached on the mesh.
+    Returns a dict whose entry ``(i, j)`` has shape (ne, dim S, nloc) for
+    ``elements`` (all by default) and maps the element-local primal
+    vector to the orthonormal coefficients of ``D_ij`` in the multiplier
+    space.  Built on every call, not cached: :func:`assemble_constraint
+    <pdwg.assembly.assemble_constraint>` asks for one chunk at a time.
     """
     k = config.k
     layout = build_dof_map(mesh, config).layout
     sdeg = config.mult_degree
     ns = space_dim(sdeg)
-    nt = mesh.n_triangles
 
     tb = get_tri_basis(mesh, k)
     sb = get_tri_basis(mesh, sdeg)
-    pts, w = get_element_rule(mesh, GEOMETRY_TRI_DEGREE(k))
-    pe, we, Xg, Xb = _element_edge_traces(mesh, config)
-    nrm = outward_normals(mesh)
+    pts, w = get_element_rule(mesh, GEOMETRY_TRI_DEGREE(k), elements)
+    pe, we, Xg, Xb = _element_edge_traces(mesh, config, elements)
+    nrm = outward_normals(mesh)[elements]
+    ne = nrm.shape[0]
 
-    VS_tr = sb.eval(pe)
+    VS_tr = sb.eval(pe, elements=elements)
     # <vg_i, phi n_j>: moment of every vg basis function against phi.
     Mg = np.einsum("etqm,etqr,etq->etmr", VS_tr, Xg, we, optimize=True)
 
     if config.c0_type:
-        trans = nodal_to_modal(mesh, k)
-        VSd_vol = {1: sb.eval(pts, dx=1), 2: sb.eval(pts, dy=1)}
-        V0d = {1: tb.eval(pts, dx=1), 2: tb.eval(pts, dy=1)}
+        trans = nodal_to_modal(mesh, k)[elements]
+        VSd_vol = {1: sb.eval(pts, dx=1, elements=elements),
+                   2: sb.eval(pts, dy=1, elements=elements)}
+        V0d = {1: tb.eval(pts, dx=1, elements=elements),
+               2: tb.eval(pts, dy=1, elements=elements)}
     else:
-        VS_d = {1: sb.eval(pe, dx=1), 2: sb.eval(pe, dy=1)}
+        VS_d = {1: sb.eval(pe, dx=1, elements=elements),
+                2: sb.eval(pe, dy=1, elements=elements)}
         Mb = {
             j: np.einsum("etqm,etqr,etq->etmr", VS_d[j], Xb, we, optimize=True)
             for j in (1, 2)
         }
-        V0 = tb.eval(pts)
+        V0 = tb.eval(pts, elements=elements)
         # v0 block by (dx, dy) of the multiplier basis; D_12 and D_21 share one.
         H0 = {}
 
     matrices = {}
     for i in (1, 2):
         for j in (1, 2):
-            H = np.zeros((nt, ns, layout.nloc))
+            H = np.zeros((ne, ns, layout.nloc))
             if config.c0_type:
                 A = -np.einsum(
                     "eqm,eql,eq->eml", VSd_vol[j], V0d[i], w, optimize=True
@@ -403,9 +405,8 @@ def weak_hessian_local(mesh, config):
                 dx = (i == 1) + (j == 1)
                 dy = (i == 2) + (j == 2)
                 if (dx, dy) not in H0:
-                    H0[dx, dy] = np.einsum(
-                        "eqm,eql,eq->eml", sb.eval(pts, dx=dx, dy=dy), V0, w, optimize=True
-                    )
+                    VSd = sb.eval(pts, dx=dx, dy=dy, elements=elements)
+                    H0[dx, dy] = np.einsum("eqm,eql,eq->eml", VSd, V0, w, optimize=True)
                 H[:, :, layout.v0] = H0[dx, dy]
                 for ledge in range(3):
                     H[:, :, layout.vb(ledge)] -= (

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import pdwg.polyquad
 from pdwg.analysis import run_study
 from pdwg.mesh import DomainSpec, build_initial_mesh, refine_uniform
 from pdwg.problems import builtin
@@ -25,6 +26,14 @@ def assert_csr_bitwise_equal(got, want):
         if name == "data":
             a, b = a.view(np.int64), b.view(np.int64)
         np.testing.assert_array_equal(a, b, err_msg=name)
+
+
+def assert_bitwise_equal(got, want):
+    """Assert two float arrays hold the same bits (shape, dtype, int64 view)."""
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.shape == want.shape
+    assert got.dtype == want.dtype == np.float64
+    np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
 
 
 def mesh_hierarchy(kind, levels):
@@ -67,6 +76,25 @@ def study_cache():
         return cache[key]
 
     return get
+
+
+#: Element-chunk sizes for the chunk-invariance tests: 700 leaves a partial
+#: last chunk on ``chunked_mesh``; the other holds the whole mesh.
+CHUNKS = (700, 1 << 20)
+
+
+@pytest.fixture(scope="session")
+def chunked_mesh():
+    """Unit-square level-5 mesh, 2,048 elements: chunks of 700 leave a partial one."""
+    mesh = mesh_hierarchy("unit_square", 5)[-1]
+    assert mesh.n_triangles % 700
+    return mesh
+
+
+@pytest.fixture()
+def set_chunk(monkeypatch):
+    """Set the element-chunk size of every quadrature-resolution loop for one test."""
+    return lambda size: monkeypatch.setattr(pdwg.polyquad, "_GRAM_CHUNK", size)
 
 
 @pytest.fixture()

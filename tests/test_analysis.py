@@ -2,7 +2,7 @@
 
 import logging
 import re
-from dataclasses import replace
+from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
@@ -17,7 +17,7 @@ from pdwg.analysis import (
     lagrange_interpolant,
     run_study,
 )
-from pdwg.assembly import build_saddle, constant_coefficients
+from pdwg.assembly import build_saddle, constant_coefficients, stabilizer_energy
 from pdwg.mesh import DomainSpec
 from pdwg.polyquad import (
     eval_edge_poly,
@@ -29,6 +29,8 @@ from pdwg.polyquad import (
 from pdwg.problems import ProblemSpec, builtin
 from pdwg.solver import solve
 from pdwg.wgspace import SpaceConfig, interpolate_weak, project_weak
+
+from conftest import CHUNKS
 
 A_CONST = [[3.0, 1.0], [1.0, 2.0]]
 
@@ -310,3 +312,22 @@ def test_study_deterministic():
     a = run_study(builtin("p1"), SpaceConfig(), levels=3).to_csv()
     b = run_study(builtin("p1"), SpaceConfig(), levels=3).to_csv()
     assert a == b
+
+
+@pytest.mark.parametrize("c0", [True, False])
+def test_norms_are_chunk_invariant(chunked_mesh, set_chunk, c0):
+    # e0_true, the stabilizer energy and the discrete norms are integrated
+    # one chunk of elements at a time and summed over the whole mesh at
+    # once, so every field keeps its bits (repr tells every float apart).
+    problem = builtin("p1")
+    config = SpaceConfig(k=2, multiplier_space="pkm1" if c0 else "pkm2", c0_type=c0)
+    sol = solve(build_saddle(chunked_mesh, config, problem))
+    got = []
+    for size in CHUNKS:
+        set_chunk(size)
+        got.append(repr((
+            astuple(error_norms(sol, problem)),
+            stabilizer_energy(chunked_mesh, sol.system.dofmap, sol.primal),
+            astuple(discrete_norms(sol.primal, chunked_mesh, config, problem.coeff)),
+        )))
+    assert got[0] == got[1]

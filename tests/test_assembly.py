@@ -10,9 +10,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-import pdwg.assembly
 from pdwg.assembly import (
-    _GRAM_CHUNK,
     CoefficientField,
     _coupled_pairs,
     _edge_jumps,
@@ -27,6 +25,7 @@ from pdwg.assembly import (
 )
 from pdwg.mesh import DomainSpec, build_initial_mesh, refine_uniform
 from pdwg.polyquad import (
+    _GRAM_CHUNK,
     GEOMETRY_TRI_DEGREE,
     get_edge_basis,
     get_element_rule,
@@ -42,7 +41,7 @@ from pdwg.wgspace import (
     weak_hessian_local,
 )
 
-from conftest import assert_csr_bitwise_equal, mesh_hierarchy
+from conftest import assert_bitwise_equal, assert_csr_bitwise_equal, mesh_hierarchy
 
 A_CONST = [[3.0, 1.0], [1.0, 2.0]]
 
@@ -192,7 +191,7 @@ def stabilizer_whole_array(mesh, dm):
 
 
 @pytest.mark.parametrize("c0", [True, False])
-def test_stabilizer_bitwise_equals_whole_array_formula(monkeypatch, c0):
+def test_stabilizer_bitwise_equals_whole_array_formula(set_chunk, c0):
     # More elements than one Gram chunk: the chunked contractions and the
     # in-place averaging must give the whole-array S bit for bit,
     # including the exact zeros that the sparse sum drops, also when the
@@ -204,7 +203,7 @@ def test_stabilizer_bitwise_equals_whole_array_formula(monkeypatch, c0):
     dm = build_dof_map(mesh, config)
     want = stabilizer_whole_array(mesh, dm)
     for chunk in (_GRAM_CHUNK, 700):
-        monkeypatch.setattr(pdwg.assembly, "_GRAM_CHUNK", chunk)
+        set_chunk(chunk)
         S = assemble_stabilizer(mesh, dm)
         assert_csr_bitwise_equal(S, want)
         assert (S != S.T).nnz == 0
@@ -298,14 +297,14 @@ def constraint_whole_array(mesh, dm, problem):
 
 @pytest.mark.parametrize("chunk", [_GRAM_CHUNK, 700])
 @pytest.mark.parametrize("c0", [True, False])
-def test_constraint_bitwise_equals_whole_array_formula(monkeypatch, chunk, c0):
+def test_constraint_bitwise_equals_whole_array_formula(set_chunk, chunk, c0):
     # B and F are built one chunk of elements at a time, with one
     # contraction shared by D_12 and D_21; on p4 (region-tagged jumping
     # tensor, degree-20 data) they equal the whole-array formula bit for
     # bit, also when the last chunk is partial.
     problem = builtin("p4")
     mesh = mesh_hierarchy(problem.domain.kind, 4)[-1]  # 2,048 elements
-    monkeypatch.setattr(pdwg.assembly, "_GRAM_CHUNK", chunk)
+    set_chunk(chunk)
     assert mesh.n_triangles > chunk
     config = SpaceConfig(k=2, multiplier_space="pkm1" if c0 else "pkm2", c0_type=c0)
     dm = build_dof_map(mesh, config)
@@ -508,15 +507,52 @@ def test_per_mesh_cache(unit_meshes):
     config = SpaceConfig(k=2, c0_type=False)
     for get in (
         lambda m: get_tri_basis(m, 2),
-        lambda m: get_element_rule(m, 6),
         lambda m: build_dof_map(m, config),
-        lambda m: weak_hessian_local(m, config),
         lambda m: m.h_t,
     ):
         assert get(mesh) is get(mesh)
         assert get(mesh) is not get(unit_meshes[1])
-    # S is not cached: each call builds a new matrix with the same bits.
+    # Quadrature-resolution arrays and S are not cached: each call builds
+    # new arrays with the same bits.
+    P1, P2 = get_element_rule(mesh, 6), get_element_rule(mesh, 6)
+    assert P1[0] is not P2[0]
+    for a, b in zip(P1, P2):
+        assert_bitwise_equal(a, b)
+    H1, H2 = weak_hessian_local(mesh, config), weak_hessian_local(mesh, config)
+    assert H1[1, 1] is not H2[1, 1]
+    for ij in H1:
+        assert_bitwise_equal(H1[ij], H2[ij])
     dm = build_dof_map(mesh, config)
     S1, S2 = assemble_stabilizer(mesh, dm), assemble_stabilizer(mesh, dm)
     assert S1 is not S2
     assert_csr_bitwise_equal(S1, S2)
+
+
+def _cached_arrays(obj):
+    """Every ndarray reachable from a ``mesh._cache`` value."""
+    if isinstance(obj, np.ndarray):
+        yield obj
+    elif isinstance(obj, (tuple, list)):
+        for item in obj:
+            yield from _cached_arrays(item)
+    elif isinstance(obj, dict):
+        for item in obj.values():
+            yield from _cached_arrays(item)
+    elif hasattr(obj, "__dict__"):
+        yield from _cached_arrays(vars(obj))
+
+
+def test_mesh_cache_holds_no_quadrature_resolution_array():
+    # build_saddle streams everything at quadrature resolution by element
+    # chunks; what it leaves on the mesh is per element or per edge.  A
+    # cached whole-mesh rule, basis table or weak Hessian (general pkm1:
+    # 81 entries per element) breaks the bound.
+    problem = builtin("p5")  # degree-20 data rule, 121 points per element
+    mesh = mesh_hierarchy(problem.domain.kind, 4)[-1]
+    nt = mesh.n_triangles
+    for mult, c0 in (("pkm1", True), ("pkm1", False), ("pkm2", False)):
+        build_saddle(mesh, SpaceConfig(k=2, multiplier_space=mult, c0_type=c0), problem)
+    sizes = {key: max((a.size for a in _cached_arrays(value)), default=0)
+             for key, value in mesh._cache.items()}
+    assert sizes and max(sizes.values()) > 0
+    assert {key: size for key, size in sizes.items() if size > 64 * nt} == {}

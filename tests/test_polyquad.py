@@ -1,5 +1,6 @@
 """Quadrature rules, orthonormal bases, and L2 projections."""
 
+import tracemalloc
 from math import factorial, perm
 
 import numpy as np
@@ -8,6 +9,8 @@ import pytest
 from pdwg.polyquad import (
     GEOMETRY_EDGE_DEGREE,
     MAX_EXACT_DEGREE,
+    TriangleBasis,
+    _chunks,
     edge_quadrature,
     eval_edge_poly,
     eval_element_poly,
@@ -21,6 +24,8 @@ from pdwg.polyquad import (
     space_dim,
     triangle_quadrature,
 )
+
+from conftest import CHUNKS, assert_bitwise_equal, mesh_hierarchy
 
 
 def ref_triangle_moment(a, b):
@@ -254,6 +259,58 @@ def test_edge_basis_on_chosen_edges(unit_meshes):
     basis = get_edge_basis(mesh, 2)
     for edges in (mesh.tri_edges, mesh.tri_edges[5:9], np.flatnonzero(mesh.is_boundary_edge)):
         np.testing.assert_array_equal(basis.eval_ref(t, edges), basis.eval_ref(t)[edges])
+
+
+# -- chunk invariance ----------------------------------------------------------
+# Work at quadrature resolution runs over chunks of elements; chunks of 700
+# on 2,048 elements (the last one partial) and one chunk holding the whole
+# mesh give the same bits.
+
+def test_tri_basis_coeff_is_chunk_invariant(chunked_mesh, set_chunk):
+    for degree in (0, 2, 3):
+        coeffs = []
+        for size in CHUNKS:
+            set_chunk(size)
+            coeffs.append(TriangleBasis(chunked_mesh, degree).coeff)
+        assert_bitwise_equal(*coeffs)
+
+
+def test_element_rule_of_a_chunk_is_the_whole_mesh_rule(chunked_mesh, set_chunk):
+    for degree in (6, 20):
+        whole = get_element_rule(chunked_mesh, degree)
+        for size in CHUNKS:
+            set_chunk(size)
+            for e in _chunks(chunked_mesh.n_triangles):
+                for got, want in zip(get_element_rule(chunked_mesh, degree, e), whole):
+                    assert_bitwise_equal(got, want[e])
+
+
+def test_project_element_is_chunk_invariant(chunked_mesh, set_chunk):
+    f = lambda x, y: np.exp(x) * np.sin(3.0 * y)
+    for degree in (1, 2):
+        coeffs = []
+        for size in CHUNKS:
+            set_chunk(size)
+            coeffs.append(project_element(f, degree, chunked_mesh))
+        assert_bitwise_equal(*coeffs)
+
+
+def test_project_element_streams_by_chunks():
+    # At level 6 (8,192 elements, 8 chunks) the projection holds one
+    # chunk's basis values at a time.  Peak traced allocation in units of
+    # the whole-mesh basis table (nt * nq * dim float64): 4.0 when the
+    # whole mesh was evaluated at once, 0.65 by chunks.
+    mesh = mesh_hierarchy("unit_square", 6)[-1]
+    f = lambda x, y: np.exp(x) * np.sin(3.0 * y)
+    project_element(f, 2, mesh)  # builds the basis and mesh geometry it reads
+    tracemalloc.start()
+    try:
+        project_element(f, 2, mesh)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    table = mesh.n_triangles * triangle_quadrature(12).weights.size * space_dim(2) * 8
+    assert peak <= 1.0 * table
 
 
 # -- edge projection ---------------------------------------------------------

@@ -7,6 +7,7 @@ from pdwg.assembly import stabilizer_local_parts
 from pdwg.mesh import Mesh, build_initial_mesh, DomainSpec
 from pdwg.polyquad import (
     GEOMETRY_EDGE_DEGREE,
+    _chunks,
     get_edge_basis,
     get_edge_rule,
     get_element_rule,
@@ -20,9 +21,12 @@ from pdwg.wgspace import (
     build_dof_map,
     interpolate_weak,
     lagrange_nodes,
+    nodal_to_modal,
     project_weak,
     weak_hessian_local,
 )
+
+from conftest import CHUNKS, assert_bitwise_equal
 
 
 def one_triangle_mesh():
@@ -130,7 +134,31 @@ def test_lagrange_nodes_cubic(unit_meshes):
     assert nodes.element_nodes.shape == (mesh.n_triangles, 10)
 
 
+def test_nodal_to_modal_is_chunk_invariant(chunked_mesh, set_chunk):
+    for k in (2, 3):
+        maps = []
+        for size in CHUNKS:
+            set_chunk(size)
+            maps.append(nodal_to_modal.__wrapped__(chunked_mesh, k))  # not the cached map
+        assert_bitwise_equal(*maps)
+
+
 # -- weak Hessian --------------------------------------------------------------
+
+@pytest.mark.parametrize("k", [2, 3])
+@pytest.mark.parametrize("c0", [True, False])
+@pytest.mark.parametrize("ms", ["pkm1", "pkm2"])
+def test_weak_hessian_of_a_chunk_is_the_whole_mesh_rows(chunked_mesh, set_chunk, k, c0, ms):
+    config = SpaceConfig(k=k, multiplier_space=ms, c0_type=c0)
+    whole = weak_hessian_local(chunked_mesh, config)
+    for size in CHUNKS:
+        set_chunk(size)
+        for e in _chunks(chunked_mesh.n_triangles):
+            part = weak_hessian_local(chunked_mesh, config, e)
+            assert part.keys() == whole.keys()
+            for ij, H in whole.items():
+                assert_bitwise_equal(part[ij], H[e])
+
 
 def test_weak_hessian_zero_and_linearity(unit_meshes, rng):
     mesh = unit_meshes[1]
