@@ -37,8 +37,8 @@ from .mesh import _write_text, build_initial_mesh, refine_uniform
 from .polyquad import (
     DATA_DEGREE_DEFAULT,
     GEOMETRY_TRI_DEGREE,
-    _chunks,
     _edge_points,
+    _for_chunks,
     eval_element_poly,
     get_element_rule,
     get_tri_basis,
@@ -49,6 +49,7 @@ from .problems import cordes_check, cordes_samples
 from .solver import solve
 from .wgspace import (
     SpaceConfig,
+    _fetch_chunk_inputs,
     apply_weak_hessian,
     build_dof_map,
     lagrange_nodes,
@@ -150,11 +151,14 @@ def error_norms(sol, problem):
 
     nt = mesh.n_triangles
     sq = np.empty((nt, triangle_quadrature(qd).weights.size))
-    for e in _chunks(nt):
+
+    def chunk(e):
         pts, w = get_element_rule(mesh, qd, e)
         uh = eval_element_poly(mesh, k, u0[e], pts, elements=e)
         diff = uh - problem.exact_u(pts[..., 0], pts[..., 1])
         sq[e] = w * diff**2
+
+    _for_chunks(nt, chunk)
     e0_true = float(np.sqrt(np.sum(sq)))
 
     wsum = _edge_weights(mesh)
@@ -205,6 +209,7 @@ def discrete_norms(primal, mesh, config, coeff):
     The integrands are formed one chunk of elements at a time.
     """
     dofmap = build_dof_map(mesh, config)
+    _fetch_chunk_inputs(mesh, config)
     qd = max(GEOMETRY_TRI_DEGREE(config.k), DATA_DEGREE_DEFAULT)
     primal = np.asarray(primal, dtype=float)
 
@@ -217,7 +222,8 @@ def discrete_norms(primal, mesh, config, coeff):
     nt = mesh.n_triangles
     strong_coeff = np.empty((nt, basis_s.dim))
     weak_sq = np.empty((nt, triangle_quadrature(qd).weights.size))
-    for e in _chunks(nt):
+
+    def chunk(e):
         hess = weak_hessian_local(mesh, config, e)
         pts, w = get_element_rule(mesh, qd, e)
         VS = basis_s.eval(pts, elements=e)
@@ -236,6 +242,7 @@ def discrete_norms(primal, mesh, config, coeff):
         strong_coeff[e] = np.einsum("eqn,eq,eq->en", VS, strong_vals, w, optimize=True)
         weak_sq[e] = w * weak_vals**2
 
+    _for_chunks(nt, chunk)
     s_energy = stabilizer_energy(mesh, dofmap, primal)
     norm_2h = float(np.sqrt(np.sum(strong_coeff**2) + s_energy))
     triple = float(np.sqrt(np.sum(weak_sq) + s_energy))

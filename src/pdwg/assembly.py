@@ -34,13 +34,20 @@ from .polyquad import (
     DATA_DEGREE_DEFAULT,
     GEOMETRY_EDGE_DEGREE,
     GEOMETRY_TRI_DEGREE,
-    _chunks,
+    _for_chunks,
+    _physical_edge_rule,
+    edge_quadrature,
     get_edge_basis,
-    get_edge_rule,
     get_element_rule,
     get_tri_basis,
 )
-from .wgspace import _element_edge_traces, build_dof_map, nodal_to_modal, weak_hessian_local
+from .wgspace import (
+    _element_edge_traces,
+    _fetch_chunk_inputs,
+    build_dof_map,
+    nodal_to_modal,
+    weak_hessian_local,
+)
 
 __all__ = [
     "CoefficientField",
@@ -65,9 +72,10 @@ class CoefficientField:
     across region interfaces are evaluated by tag, never by the sign of a
     near-interface point.  ``a12`` serves as both off-diagonal entries,
     so the tensor is symmetric by construction.  Assembly calls the
-    entries, and the source ``f``, on one chunk of elements at a time, so
-    they must be pointwise: the value at a point depends only on its
-    coordinates and region tag, not on the other points of the call.
+    entries, and the source ``f``, on one chunk of elements at a time
+    from several threads at once, so they must be pointwise, the value
+    at a point depending only on its coordinates and region tag and not
+    on the other points of the call, and must not change shared state.
 
     ``bounds`` optionally records ellipticity constants ``(alpha, beta)``
     with ``alpha |xi|^2 <= xi.a.xi <= beta |xi|^2``.
@@ -261,17 +269,20 @@ def stabilizer_energy(mesh, dofmap, primal):
     one chunk of elements at a time; each one's weighted squares are
     summed over the whole mesh at once.
     """
+    _fetch_chunk_inputs(mesh, dofmap.config)
     loc = dofmap.local_vectors(np.asarray(primal, dtype=float))
     nt = mesh.n_triangles
     h = mesh.h_t[:, None, None]
-    squares = []  # per mismatch, (nt, 3, nq)
-    for e in _chunks(nt):
+    nq = edge_quadrature(GEOMETRY_EDGE_DEGREE(dofmap.config.k)).weights.size
+    squares = [np.empty((nt, 3, nq)) for _ in _mismatches(dofmap.layout)]
+
+    def chunk(e):
         we, jumps = _edge_jumps(mesh, dofmap, e)
         for m, (p, J) in enumerate(jumps):
-            if m == len(squares):
-                squares.append(np.empty((nt,) + we.shape[1:]))
             jump = np.einsum("etql,el->etq", J, loc[e], optimize=True)
             squares[m][e] = (jump**2 * we) / h[e] ** p
+
+    _for_chunks(nt, chunk)
     energy = 0.0
     for sq in squares:
         energy += float(np.sum(sq))
@@ -293,11 +304,13 @@ def assemble_stabilizer(mesh, dofmap):
     one chunk's Gram blocks, the kept entries with their int32 indices
     and the COO-to-CSR conversion.
     """
+    _fetch_chunk_inputs(mesh, dofmap.config)
     nt = mesh.n_triangles
     a, b = pairs = _coupled_pairs(dofmap.layout)
     kept = np.empty((nt, a.size))
     h = mesh.h_t[:, None, None]
-    for e in _chunks(nt):
+
+    def chunk(e):
         jump0, local = stabilizer_local_parts(mesh, dofmap, e)
         local /= h[e]
         if jump0 is not None:
@@ -307,6 +320,8 @@ def assemble_stabilizer(mesh, dofmap):
         block = kept[e]
         np.add(local[:, a, b], local[:, b, a], out=block)
         block *= 0.5
+
+    _for_chunks(nt, chunk)
     ids = dofmap.element_primal
     S = _scatter(kept, ids, ids, pairs, (dofmap.n_primal, dofmap.n_primal))
     S.eliminate_zeros()
@@ -328,12 +343,14 @@ def assemble_constraint(mesh, dofmap, coeff, f, quad_degree=DATA_DEGREE_DEFAULT)
     qd = max(quad_degree, GEOMETRY_TRI_DEGREE(config.k))
     nt, ns, nloc = mesh.n_triangles, dofmap.ns, dofmap.layout.nloc
 
+    _fetch_chunk_inputs(mesh, config)
     sb = get_tri_basis(mesh, config.mult_degree)
     region = mesh.region_tags[:, None]
 
     B_local = np.zeros((nt, ns, nloc))
     F_local = np.empty((nt, ns))
-    for e in _chunks(nt):
+
+    def chunk(e):
         pts, w = get_element_rule(mesh, qd, e)
         x, y = pts[..., 0], pts[..., 1]
         VS = sb.eval(pts, elements=e)
@@ -350,6 +367,7 @@ def assemble_constraint(mesh, dofmap, coeff, f, quad_degree=DATA_DEGREE_DEFAULT)
             raise ValueError("right-hand side evaluation returned a non-finite value")
         F_local[e] = np.einsum("eqn,eq,eq->en", VS, fvals, w, optimize=True)
 
+    _for_chunks(nt, chunk)
     B = _scatter(B_local.reshape(nt, -1), dofmap.element_mult, dofmap.element_primal,
                  np.indices((ns, nloc)).reshape(2, -1), (dofmap.n_mult, dofmap.n_primal))
     F = np.zeros(dofmap.n_mult)
@@ -375,8 +393,8 @@ def apply_dirichlet(dofmap, mesh, g, quad_degree=DATA_DEGREE_DEFAULT):
         values[:] = np.asarray(g(coords[:, 0], coords[:, 1]), dtype=float)
     else:
         bedges = mesh.boundary_edges
-        pts, w, t = get_edge_rule(mesh, max(quad_degree, GEOMETRY_EDGE_DEGREE(k)))
-        pts, w = pts[bedges], w[bedges]
+        rule = edge_quadrature(max(quad_degree, GEOMETRY_EDGE_DEGREE(k)))
+        pts, w, t = _physical_edge_rule(mesh, rule, bedges)
         gvals = np.asarray(g(pts[..., 0], pts[..., 1]), dtype=float)
         X = get_edge_basis(mesh, k).eval_ref(t, bedges)
         values[:] = np.einsum("eqn,eq,eq->en", X, gvals, w, optimize=True).ravel()

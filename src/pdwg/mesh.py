@@ -101,15 +101,18 @@ def _per_mesh(fn):
 
     A mesh never changes once built, so whatever is derived from it and a
     few hashable arguments is computed once per mesh and freed with it.
+    Threads that make the first call at once may each compute the value,
+    outside any lock, so a nested cached call cannot deadlock; all of them
+    return the one value stored first.
     """
 
     @functools.wraps(fn)
     def cached(mesh, *args):
         key = (fn.__qualname__, *args)
         cache = mesh._cache
-        if key not in cache:
-            cache[key] = fn(mesh, *args)
-        return cache[key]
+        if key in cache:
+            return cache[key]
+        return cache.setdefault(key, fn(mesh, *args))
 
     return cached
 

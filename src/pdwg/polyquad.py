@@ -21,11 +21,21 @@ points, mapped rules, function values) runs over one chunk of
 no array over the whole mesh times the points of a rule is built or
 kept.  Each element's arithmetic does not depend on the other elements
 of its chunk, so the chunk size changes no bit of any result.
+
+Every such loop goes through :func:`_for_chunks`, which runs its chunks
+on up to one thread per CPU of the process's affinity mask, threads that
+live for one call, and inline when the loop has too few chunks to gain.
+Each chunk does the serial loop's arithmetic and writes only its own
+slice of the output, so the results are bitwise the same for any number
+of threads; numpy releases the GIL in the einsums, matmuls and ufuncs
+that do a chunk's work.
 """
 
 from __future__ import annotations
 
 import functools
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -67,10 +77,80 @@ DATA_DEGREE_DEFAULT = 12
 #: the same order as over the whole mesh, so it changes no bit.
 _GRAM_CHUNK = 1024
 
+#: Threads that run the chunks of one loop at most: the caller and
+#: ``_WORKERS - 1`` helpers, one per CPU the process may run on.
+_WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+
+#: Fewest chunks per thread of :func:`_for_chunks`.  On two CPUs, two
+#: threads took longer than one on 8 chunks (a level-6 mesh) and a third
+#: less time on 32 (level 7).
+_CHUNKS_PER_THREAD = 16
+
+#: ``_running.chunk`` is True on a thread while it takes chunks from the others.
+_running = threading.local()
+
 
 def _chunks(nt):
     """Slices of ``_GRAM_CHUNK`` consecutive elements covering ``nt``."""
     return (slice(start, start + _GRAM_CHUNK) for start in range(0, nt, _GRAM_CHUNK))
+
+
+def _for_chunks(nt, body):
+    """Call ``body(e)`` for every slice ``e`` of :func:`_chunks` over ``nt``.
+
+    ``body`` must write only its own chunk's slice of any shared output.
+    The loop runs on ``min(_WORKERS, n // _CHUNKS_PER_THREAD)`` threads
+    for ``n`` chunks; with fewer than two, or when called from a chunk
+    that shares its loop with other threads, the chunks run inline, in
+    order.  Otherwise the caller and one helper thread per further thread
+    take chunks in order from one counter.  The caller must have cached
+    every per-mesh input the chunks read (see
+    :func:`~pdwg.wgspace._fetch_chunk_inputs`), so that the threads only
+    read ``mesh._cache``.  An exception in a chunk propagates unchanged;
+    the first failure stops the hand-out, and of all failed chunks the
+    lowest one's error is raised.  Every lower chunk has run, so this is
+    the error the serial loop raises.
+    """
+    chunks = list(_chunks(nt))
+    workers = min(_WORKERS, len(chunks) // _CHUNKS_PER_THREAD)
+    if workers < 2 or getattr(_running, "chunk", False):
+        for e in chunks:
+            body(e)
+        return
+
+    lock = threading.Lock()
+    todo = enumerate(chunks)
+    failed = {}  # chunk index -> exception
+
+    def work():
+        _running.chunk = True
+        try:
+            while True:
+                with lock:
+                    i, e = (None, None) if failed else next(todo, (None, None))
+                if e is None:
+                    return
+                try:
+                    body(e)
+                except BaseException as exc:
+                    with lock:
+                        failed[i] = exc
+        finally:
+            _running.chunk = False
+
+    helpers = []
+    try:
+        for _ in range(workers - 1):
+            t = threading.Thread(target=work, daemon=True)
+            t.start()
+            helpers.append(t)  # joined below even if a later start fails
+        work()
+    finally:
+        for t in helpers:
+            t.join()
+    if failed:
+        raise failed[min(failed)]
 
 
 @dataclass(frozen=True)
@@ -187,12 +267,16 @@ class TriangleBasis:
         self.dim = self.exps.shape[0]
         self.centers = mesh.centroids
         self.scales = mesh.h_t
+        mesh.areas  # cached before the chunks read it through get_element_rule
         qd = min(2 * self.degree + 2, MAX_EXACT_DEGREE)
         gram = np.empty((mesh.n_triangles, self.dim, self.dim))
-        for e in _chunks(mesh.n_triangles):
+
+        def chunk(e):
             pts, w = get_element_rule(mesh, qd, e)
             V = self._vander(pts, elements=e)
             gram[e] = np.einsum("eqi,eqj,eq->eij", V, V, w, optimize=True)
+
+        _for_chunks(mesh.n_triangles, chunk)
         cause = (
             f"Gram matrix of the scaled-monomial basis of degree {self.degree} "
             "is too ill-conditioned: an element is too flat or the degree too high"
@@ -301,19 +385,23 @@ def get_element_rule(mesh, degree, elements=slice(None)):
     return pts, w
 
 
-def _edge_points(mesh, t):
-    """Physical points of reference parameters ``t`` on every edge, (ne, len(t), 2)."""
-    lo = mesh.vertices[mesh.edges[:, 0]]
-    hi = mesh.vertices[mesh.edges[:, 1]]
+def _edge_points(mesh, t, edges=slice(None)):
+    """Physical points of reference parameters ``t`` on ``edges``, (ne, len(t), 2).
+
+    All edges by default; each edge's points do not depend on the others.
+    """
+    lo = mesh.vertices[mesh.edges[edges, 0]]
+    hi = mesh.vertices[mesh.edges[edges, 1]]
     mid = 0.5 * (lo + hi)
     half = 0.5 * (hi - lo)
     return mid[:, None, :] + t[None, :, None] * half[:, None, :]
 
 
-def _physical_edge_rule(mesh, rule):
+def _physical_edge_rule(mesh, rule, edges=slice(None)):
+    """Points, weights and reference parameters of ``rule`` on ``edges`` (all by default)."""
     t = rule.points
-    w = rule.weights[None, :] * (0.5 * mesh.edge_lengths)[:, None]
-    return _edge_points(mesh, t), w, t
+    w = rule.weights[None, :] * (0.5 * mesh.edge_lengths[edges])[:, None]
+    return _edge_points(mesh, t, edges), w, t
 
 
 # -- memoized per-mesh accessors -----------------------------------------
@@ -343,8 +431,10 @@ def project_element(f, degree, mesh, quad_degree=None):
     ----------
     f : callable
         Vectorized ``f(x, y)`` over coordinate arrays.  It is called on
-        one chunk of elements at a time, so it must be pointwise: the
-        value at a point may depend only on that point's coordinates.
+        one chunk of elements at a time, from several threads at once
+        (see :func:`_for_chunks`), so it must be pointwise, the value at
+        a point depending only on that point's coordinates, and must not
+        change shared state.
     degree : int
     mesh : Mesh
     quad_degree : int, optional
@@ -361,13 +451,16 @@ def project_element(f, degree, mesh, quad_degree=None):
     qd = quad_degree if quad_degree is not None else max(2 * degree + 2, DATA_DEGREE_DEFAULT)
     basis = get_tri_basis(mesh, degree)
     out = np.empty((mesh.n_triangles, basis.dim))
-    for e in _chunks(mesh.n_triangles):
+
+    def chunk(e):
         pts, w = get_element_rule(mesh, qd, e)
         vals = np.asarray(f(pts[..., 0], pts[..., 1]), dtype=float)
         if not np.all(np.isfinite(vals)):
             raise ValueError("function evaluation returned a non-finite value")
         V = basis.eval(pts, elements=e)
         out[e] = np.einsum("eqn,eq,eq->en", V, vals, w, optimize=True)
+
+    _for_chunks(mesh.n_triangles, chunk)
     return out
 
 

@@ -37,7 +37,7 @@ from .mesh import _per_mesh, outward_normals
 from .polyquad import (
     GEOMETRY_EDGE_DEGREE,
     GEOMETRY_TRI_DEGREE,
-    _chunks,
+    _for_chunks,
     get_edge_basis,
     get_edge_rule,
     get_element_rule,
@@ -213,8 +213,11 @@ def nodal_to_modal(mesh, k):
     nodes = lagrange_nodes(mesh, k)
     basis = get_tri_basis(mesh, k)
     out = np.empty((mesh.n_triangles, basis.dim, basis.dim))
-    for e in _chunks(mesh.n_triangles):
+
+    def chunk(e):
         out[e] = np.linalg.inv(basis.eval(nodes.coords[nodes.element_nodes[e]], elements=e))
+
+    _for_chunks(mesh.n_triangles, chunk)
     return out
 
 
@@ -348,6 +351,35 @@ def _element_edge_traces(mesh, config, elements=slice(None)):
     Xg = get_edge_basis(mesh, k - 1).eval_ref(t, g)
     Xb = None if config.c0_type else get_edge_basis(mesh, k).eval_ref(t, g)
     return epts[g], ew[g], Xg, Xb
+
+
+def _fetch_chunk_inputs(mesh, config):
+    """Cache everything per mesh that the chunk operators of ``config`` read.
+
+    That is the DOF map, both element bases, the edge rule and bases of
+    :func:`_element_edge_traces`, the outward normals and, in the C0
+    variant, the nodal map.  Every function that hands a chunk loop to
+    :func:`~pdwg.polyquad._for_chunks` and reads them there (through
+    :func:`_element_edge_traces`, :func:`weak_hessian_local`,
+    ``assembly._edge_jumps`` or the bases) calls this first, so the
+    threads only read ``mesh._cache`` and no input is built twice; a
+    second call costs only cache lookups.  ``analysis.error_norms`` reads
+    only the degree-k basis, which building its solution's system cached.
+    This list must name whatever those functions read:
+    ``test_helper_threads_read_only_cached_inputs`` fails when a helper
+    thread looks up a value that was not cached when its loop started.
+    """
+    k = config.k
+    build_dof_map(mesh, config)
+    get_tri_basis(mesh, k)
+    get_tri_basis(mesh, config.mult_degree)
+    get_edge_rule(mesh, GEOMETRY_EDGE_DEGREE(k))
+    get_edge_basis(mesh, k - 1)
+    if config.c0_type:
+        nodal_to_modal(mesh, k)
+    else:
+        get_edge_basis(mesh, k)
+    outward_normals(mesh)
 
 
 def weak_hessian_local(mesh, config, elements=slice(None)):

@@ -98,5 +98,11 @@ def set_chunk(monkeypatch):
 
 
 @pytest.fixture()
+def set_workers(monkeypatch):
+    """Set the number of threads that run the chunks of one loop, for one test."""
+    return lambda n: monkeypatch.setattr(pdwg.polyquad, "_WORKERS", n)
+
+
+@pytest.fixture()
 def rng():
     return np.random.default_rng(20240817)

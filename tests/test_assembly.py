@@ -28,6 +28,7 @@ from pdwg.polyquad import (
     _GRAM_CHUNK,
     GEOMETRY_TRI_DEGREE,
     get_edge_basis,
+    get_edge_rule,
     get_element_rule,
     get_tri_basis,
     project_element,
@@ -232,7 +233,8 @@ def test_stabilizer_streams_by_chunks(c0):
     # At level 6 (8,192 elements, 8 chunks) S is built one chunk of Gram
     # blocks at a time and keeps only the coupled local pairs, so the peak
     # stays well below two whole-mesh sets of blocks: 3.84-3.87 blocks
-    # with whole-mesh Gram arrays, 1.76 (general) and 2.34 (C0) streamed.
+    # with whole-mesh Gram arrays, 1.64 (general) and 2.22 (C0) streamed.
+    # 8 chunks are too few to share between threads, on any host.
     mesh = mesh_hierarchy("unit_square", 6)[-1]  # p5's domain, fresh memo
     assert mesh.n_triangles >= 8 * _GRAM_CHUNK
     config = SpaceConfig(k=2, multiplier_space="pkm1" if c0 else "pkm2", c0_type=c0)
@@ -246,6 +248,27 @@ def test_stabilizer_streams_by_chunks(c0):
         tracemalloc.stop()
     blocks = mesh.n_triangles * dm.layout.nloc**2 * 8
     assert peak <= 2.5 * blocks
+
+
+@pytest.mark.parametrize("workers", [1, 2, 4])
+def test_stabilizer_threads_each_hold_one_chunk(set_chunk, set_workers, workers):
+    # Chunks of 128 elements at level 6: 64 chunks, enough for 4 threads.
+    # Each thread adds at most its own chunk's Gram blocks and their
+    # temporaries, about 1.2 chunks of blocks, to the one-thread bound.
+    set_chunk(128)
+    set_workers(workers)
+    mesh = mesh_hierarchy("unit_square", 6)[-1]  # p5's domain, fresh memo
+    dm = build_dof_map(mesh, SpaceConfig(k=2, multiplier_space="pkm1", c0_type=True))
+    stabilizer_local_parts(mesh, dm, slice(0, 1))  # builds the bases and rules S reads
+    tracemalloc.start()
+    try:
+        assemble_stabilizer(mesh, dm)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    blocks = mesh.n_triangles * dm.layout.nloc**2 * 8
+    chunk_blocks = 128 * dm.layout.nloc**2 * 8
+    assert peak <= 2.5 * blocks + (workers - 1) * 2.0 * chunk_blocks
 
 
 @pytest.mark.parametrize("k", [2, 3, 4])
@@ -443,6 +466,22 @@ def test_dirichlet_nodal_reproduction(unit_meshes):
     nodes = system.dofmap.nodes
     coords = nodes.coords[nodes.boundary_nodes]
     assert np.abs(values - p.exact_u(coords[:, 0], coords[:, 1])).max() < 1e-14
+
+
+def test_dirichlet_maps_its_edge_rule_on_boundary_edges_only():
+    # The degree-20 rule is mapped on the boundary edges alone and not
+    # cached; the values are the rows of the whole-mesh rule, bit for bit.
+    problem = builtin("p5")
+    mesh = mesh_hierarchy(problem.domain.kind, 3)[-1]  # fresh cache
+    dm = build_dof_map(mesh, SpaceConfig(k=2, multiplier_space="pkm2", c0_type=False))
+    values = apply_dirichlet(dm, mesh, problem.g, quad_degree=problem.quad_degree)
+    assert ("get_edge_rule", 20) not in mesh._cache
+    pts, w, t = get_edge_rule(mesh, 20)
+    b = mesh.boundary_edges
+    gvals = problem.g(pts[b][..., 0], pts[b][..., 1])
+    X = get_edge_basis(mesh, 2).eval_ref(t, b)
+    want = np.einsum("eqn,eq,eq->en", X, gvals, w[b], optimize=True).ravel()
+    assert_bitwise_equal(values, want)
 
 
 def test_eliminated_system_symmetric(unit_meshes):
