@@ -38,6 +38,7 @@ from .polyquad import (
     DATA_DEGREE_DEFAULT,
     GEOMETRY_TRI_DEGREE,
     _edge_points,
+    _finite,
     _for_chunks,
     eval_element_poly,
     get_element_rule,
@@ -98,7 +99,7 @@ def lagrange_interpolant(u, mesh, k=2):
     """Orthonormal coefficients of the degree-``k`` Lagrange interpolant."""
     nodes = lagrange_nodes(mesh, k)
     xy = nodes.coords[nodes.element_nodes]
-    vals = np.asarray(u(xy[..., 0], xy[..., 1]), dtype=float)
+    vals = _finite(u(xy[..., 0], xy[..., 1]))
     return np.einsum("emn,en->em", nodal_to_modal(mesh, k), vals, optimize=True)
 
 
@@ -112,9 +113,7 @@ def edge_gradient_interpolant(grad_u, mesh, degree=1):
     """
     t_nodes = np.linspace(-1.0, 1.0, degree + 1)
     pts = _edge_points(mesh, t_nodes)
-    vals = np.asarray(grad_u(pts[..., 0], pts[..., 1]), dtype=float)  # (2, ne, deg+1)
-    if not np.all(np.isfinite(vals)):
-        raise ValueError("gradient evaluation returned a non-finite value")
+    vals = _finite(grad_u(pts[..., 0], pts[..., 1]), "gradient")  # (2, ne, deg+1)
     vander = np.polynomial.legendre.legvander(t_nodes, degree)
     plain = np.einsum("ij,cej->cei", np.linalg.inv(vander), vals, optimize=True)
     scale = np.sqrt(
@@ -155,7 +154,7 @@ def error_norms(sol, problem):
     def chunk(e):
         pts, w = get_element_rule(mesh, qd, e)
         uh = eval_element_poly(mesh, k, u0[e], pts, elements=e)
-        diff = uh - problem.exact_u(pts[..., 0], pts[..., 1])
+        diff = uh - _finite(problem.exact_u(pts[..., 0], pts[..., 1]))
         sq[e] = w * diff**2
 
     _for_chunks(nt, chunk)

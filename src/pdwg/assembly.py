@@ -34,6 +34,7 @@ from .polyquad import (
     DATA_DEGREE_DEFAULT,
     GEOMETRY_EDGE_DEGREE,
     GEOMETRY_TRI_DEGREE,
+    _finite,
     _for_chunks,
     _physical_edge_rule,
     edge_quadrature,
@@ -93,11 +94,9 @@ class CoefficientField:
         """
         shape = np.broadcast(x, y).shape
         a11, a12, a22 = (
-            np.broadcast_to(np.asarray(fn(x, y, region=region), dtype=float), shape)
+            np.broadcast_to(_finite(fn(x, y, region=region), "coefficient"), shape)
             for fn in (self.a11, self.a12, self.a22)
         )
-        if not all(np.all(np.isfinite(v)) for v in (a11, a12, a22)):
-            raise ValueError("coefficient evaluation returned a non-finite value")
         return {"11": a11, "12": a12, "21": a12, "22": a22}
 
 
@@ -121,13 +120,13 @@ def constant_coefficients(matrix):
 
 @dataclass(frozen=True, eq=False)
 class SaddleSystem:
-    """Assembled block system plus Dirichlet bookkeeping.
+    """The blocks of ``[[S, B^T], [B, 0]] [u; lam] = [0; F]`` plus Dirichlet data.
 
     ``S`` is exactly symmetric positive semidefinite, ``B`` is the
     constraint block, ``F`` the multiplier right-hand side.  The
     ``constrained`` primal DOFs carry ``constrained_values``, the
     boundary data of :func:`apply_dirichlet`; the solver eliminates them
-    symmetrically and moves their columns to the right-hand side.
+    from ``S`` and ``B``.  Only :func:`dump_system` forms the block matrix.
     :func:`build_saddle` builds a complete system in one step.
     """
 
@@ -153,14 +152,6 @@ class SaddleSystem:
     @property
     def n_total(self):
         return self.n_primal + self.n_mult
-
-    def block_matrix(self):
-        """Full symmetric block matrix [[S, B^T], [B, 0]] (CSR)."""
-        return sp.bmat([[self.S, self.B.T], [self.B, None]], format="csr")
-
-    def rhs(self):
-        """Right-hand side before elimination: zeros stacked over F."""
-        return np.concatenate([np.zeros(self.n_primal), self.F])
 
 
 def _scatter(values, rows, cols, pairs, shape):
@@ -361,10 +352,8 @@ def assemble_constraint(mesh, dofmap, coeff, f, quad_degree=DATA_DEGREE_DEFAULT)
         for (i, j), H in weak_hessian_local(mesh, config, e).items():
             B_local[e] += M[f"{min(i, j)}{max(i, j)}"] @ H
 
-        fvals = np.asarray(f(x, y, region=region[e]), dtype=float)
+        fvals = _finite(f(x, y, region=region[e]), "right-hand side")
         fvals = np.broadcast_to(fvals, x.shape)
-        if not np.all(np.isfinite(fvals)):
-            raise ValueError("right-hand side evaluation returned a non-finite value")
         F_local[e] = np.einsum("eqn,eq,eq->en", VS, fvals, w, optimize=True)
 
     _for_chunks(nt, chunk)
@@ -421,13 +410,13 @@ def build_saddle(mesh, config, problem):
 
 
 def dump_system(system, target):
-    """Write the full block matrix as ASCII coordinate triplets.
+    """Write the block matrix ``[[S, B^T], [B, 0]]`` as ASCII coordinate triplets.
 
     First line ``n_primal n_multiplier nnz``, then one ``row col value``
     line per stored entry, sorted by row then column, values with 17
-    significant digits.
+    significant digits.  Only this function forms the block matrix.
     """
-    K = system.block_matrix().tocoo()
+    K = sp.bmat([[system.S, system.B.T], [system.B, None]], format="coo")
     order = np.lexsort((K.col, K.row))
     lines = [f"{system.n_primal} {system.n_mult} {K.nnz}"]
     for r, c, v in zip(K.row[order], K.col[order], K.data[order]):

@@ -91,6 +91,14 @@ _CHUNKS_PER_THREAD = 16
 _running = threading.local()
 
 
+def _finite(vals, what="function"):
+    """``vals`` as a float array; ``ValueError`` if an entry is not finite."""
+    vals = np.asarray(vals, dtype=float)
+    if not np.all(np.isfinite(vals)):
+        raise ValueError(f"{what} evaluation returned a non-finite value")
+    return vals
+
+
 def _chunks(nt):
     """Slices of ``_GRAM_CHUNK`` consecutive elements covering ``nt``."""
     return (slice(start, start + _GRAM_CHUNK) for start in range(0, nt, _GRAM_CHUNK))
@@ -257,8 +265,10 @@ class TriangleBasis:
 
     The basis of element ``T`` spans polynomials of total degree
     ``degree`` in monomials ``((x - c_T) / h_T)^a ((y - c_T) / h_T)^b``,
-    orthonormalized in ``L2(T)``.  The Gram matrices are integrated one
-    chunk of elements at a time; the factorizations run over all of them.
+    orthonormalized in ``L2(T)``.  The Gram matrices are integrated,
+    factorized and checked one chunk of elements at a time; a chunk with
+    an element too flat for the degree raises ``ValueError`` naming the
+    worst such element of the chunk by its global index.
     """
 
     def __init__(self, mesh, degree):
@@ -269,34 +279,36 @@ class TriangleBasis:
         self.scales = mesh.h_t
         mesh.areas  # cached before the chunks read it through get_element_rule
         qd = min(2 * self.degree + 2, MAX_EXACT_DEGREE)
-        gram = np.empty((mesh.n_triangles, self.dim, self.dim))
-
-        def chunk(e):
-            pts, w = get_element_rule(mesh, qd, e)
-            V = self._vander(pts, elements=e)
-            gram[e] = np.einsum("eqi,eqj,eq->eij", V, V, w, optimize=True)
-
-        _for_chunks(mesh.n_triangles, chunk)
         cause = (
             f"Gram matrix of the scaled-monomial basis of degree {self.degree} "
             "is too ill-conditioned: an element is too flat or the degree too high"
         )
-        try:
-            chol = np.linalg.cholesky(gram)
-        except np.linalg.LinAlgError as exc:
-            raise ValueError(cause) from exc
-        # The Cholesky diagonal bounds the Gram conditioning in the scaled
-        # monomial basis; on shape-regular elements the ratio is O(1) for
-        # low degrees, but it decays with the degree on any element.
-        diag = np.diagonal(chol, axis1=1, axis2=2)
-        worst = np.min(diag, axis=1) / np.max(diag, axis=1)
-        if np.any(worst**2 < 1e-14):
-            bad = int(np.argmin(worst))
-            raise ValueError(
-                f"{cause} (element {bad}, Cholesky diagonal ratio {worst[bad]:.1e})"
-            )
+        inv_chol = np.empty((mesh.n_triangles, self.dim, self.dim))
+
+        def chunk(e):
+            pts, w = get_element_rule(mesh, qd, e)
+            V = self._vander(pts, elements=e)
+            gram = np.einsum("eqi,eqj,eq->eij", V, V, w, optimize=True)
+            try:
+                chol = np.linalg.cholesky(gram)
+            except np.linalg.LinAlgError as exc:
+                raise ValueError(cause) from exc
+            # The Cholesky diagonal bounds the Gram conditioning in the scaled
+            # monomial basis; on shape-regular elements the ratio is O(1) for
+            # low degrees, but it decays with the degree on any element.
+            diag = np.diagonal(chol, axis1=1, axis2=2)
+            worst = np.min(diag, axis=1) / np.max(diag, axis=1)
+            if np.any(worst**2 < 1e-14):
+                bad = int(np.argmin(worst))
+                raise ValueError(
+                    f"{cause} (element {e.start + bad}, Cholesky diagonal ratio "
+                    f"{worst[bad]:.1e})"
+                )
+            inv_chol[e] = np.linalg.inv(chol)
+
+        _for_chunks(mesh.n_triangles, chunk)
         # coeff[e] maps orthonormal coefficients to monomial coefficients.
-        self.coeff = np.transpose(np.linalg.inv(chol), (0, 2, 1))
+        self.coeff = np.transpose(inv_chol, (0, 2, 1))
 
     def _vander(self, pts, dx=0, dy=0, elements=slice(None)):
         """Scaled-monomial (derivative) values, ``(ne, ..., dim)``.
@@ -454,9 +466,7 @@ def project_element(f, degree, mesh, quad_degree=None):
 
     def chunk(e):
         pts, w = get_element_rule(mesh, qd, e)
-        vals = np.asarray(f(pts[..., 0], pts[..., 1]), dtype=float)
-        if not np.all(np.isfinite(vals)):
-            raise ValueError("function evaluation returned a non-finite value")
+        vals = _finite(f(pts[..., 0], pts[..., 1]))
         V = basis.eval(pts, elements=e)
         out[e] = np.einsum("eqn,eq,eq->en", V, vals, w, optimize=True)
 
@@ -474,9 +484,7 @@ def project_edge(f, degree, mesh, quad_degree=None):
     qd = quad_degree if quad_degree is not None else max(2 * degree + 2, DATA_DEGREE_DEFAULT)
     basis = get_edge_basis(mesh, degree)
     pts, w, t = get_edge_rule(mesh, qd)
-    vals = np.asarray(f(pts[..., 0], pts[..., 1]), dtype=float)
-    if not np.all(np.isfinite(vals)):
-        raise ValueError("function evaluation returned a non-finite value")
+    vals = _finite(f(pts[..., 0], pts[..., 1]))
     X = basis.eval_ref(t)
     if vals.shape == pts[..., 0].shape:
         return np.einsum("eqn,eq,eq->en", X, vals, w, optimize=True)

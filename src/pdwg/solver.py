@@ -1,10 +1,11 @@
 """Direct solution of the assembled saddle-point systems.
 
-The reduced system (constrained DOFs eliminated symmetrically) is
-symmetric indefinite; it is factorized with a sparse LU (SuperLU), with
-one step of iterative refinement, and the relative algebraic residual is
-verified against a hard tolerance.  Failure to factorize, a non-finite
-solution, or a residual above tolerance raise :class:`SolverError` naming the suspect block.
+The reduced system, the blocks ``S`` and ``B`` with the constrained DOFs
+eliminated symmetrically, is symmetric indefinite; it is factorized with
+a sparse LU (SuperLU), with one step of iterative refinement, and the
+relative algebraic residual is verified against a hard tolerance.
+Failure to factorize, a non-finite solution, or a residual above
+tolerance raise :class:`SolverError` naming the suspect block.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .polyquad import eval_element_poly
@@ -60,14 +62,22 @@ class WgSolution:
 
 
 def _eliminate(system):
-    con = system.constrained
-    free = np.ones(system.n_total, dtype=bool)
-    free[con] = False
-    free_idx = np.flatnonzero(free)
-    K_csc = system.block_matrix().tocsc()
-    rhs_red = system.rhs()[free_idx] - K_csc[:, con][free_idx, :] @ system.constrained_values
-    K_red = K_csc[:, free_idx][free_idx, :].tocsc()
-    return K_red, rhs_red, free_idx
+    """Return ``K_red`` (CSC), ``rhs_red`` and the free primal DOFs ``f``.
+
+    ``K_red = [[S_ff, B_f^T], [B_f, 0]]`` and ``rhs_red = [0; F] - [S_fc g; B_c g]``,
+    with ``g`` the values of the constrained DOFs ``c``.  ``K_red`` is exactly
+    symmetric, so the CSR arrays of its stacked blocks are its CSC arrays.
+    """
+    con, g = system.constrained, system.constrained_values
+    free_idx = np.flatnonzero(np.isin(np.arange(system.n_primal), con, invert=True))
+    S, B = system.S, system.B
+    # ``0.0 - y``, not ``-y``: a zero ``y`` keeps the +0 of ``[0; F] - y``.
+    rhs_red = np.concatenate([0.0 - S[:, con][free_idx] @ g, system.F - B[:, con] @ g])
+    B_f = B[:, free_idx]
+    n = free_idx.size + system.n_mult
+    lower = sp.csr_matrix((B_f.data, B_f.indices, B_f.indptr), shape=(system.n_mult, n))
+    K = sp.vstack([sp.hstack([S[free_idx][:, free_idx], B_f.T.tocsr()]), lower])
+    return sp.csc_matrix((K.data, K.indices, K.indptr), shape=K.shape), rhs_red, free_idx
 
 
 def solve(system):
@@ -112,12 +122,9 @@ def solve(system):
             "the system is too ill-conditioned for the factorization"
         )
 
-    full = np.zeros(system.n_total)
-    full[free_idx] = x
-    full[system.constrained] = system.constrained_values
+    primal = np.zeros(system.n_primal)
+    primal[free_idx] = x[: free_idx.size]
+    primal[system.constrained] = system.constrained_values
     return WgSolution(
-        system=system,
-        primal=full[: system.n_primal],
-        lam_vec=full[system.n_primal :],
-        residual_norm=rel,
+        system=system, primal=primal, lam_vec=x[free_idx.size :], residual_norm=rel
     )

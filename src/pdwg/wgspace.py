@@ -37,6 +37,7 @@ from .mesh import _per_mesh, outward_normals
 from .polyquad import (
     GEOMETRY_EDGE_DEGREE,
     GEOMETRY_TRI_DEGREE,
+    _finite,
     _for_chunks,
     get_edge_basis,
     get_edge_rule,
@@ -495,6 +496,6 @@ def interpolate_weak(mesh, config, w, grad_w):
     dof = build_dof_map(mesh, config)
     coords = dof.nodes.coords
     primal = np.zeros(dof.n_primal)
-    primal[: dof.n_v0] = np.asarray(w(coords[:, 0], coords[:, 1]), dtype=float)
+    primal[: dof.n_v0] = _finite(w(coords[:, 0], coords[:, 1]))
     primal[dof.vg_base :] = project_edge(grad_w, config.k - 1, mesh).ravel()
     return primal

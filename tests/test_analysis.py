@@ -111,6 +111,33 @@ def test_edge_gradient_interpolant_rejects_nonfinite(unit_meshes):
         edge_gradient_interpolant(bad, mesh)
 
 
+def nan_beyond(u, edge=0.9):
+    """``u`` with NaN wherever ``x > edge``."""
+    return lambda x, y: np.where(x > edge, np.nan, u(x, y))
+
+
+def test_interpolants_reject_nonfinite_values(unit_meshes):
+    mesh = unit_meshes[1]
+    u, grad = builtin("p1").exact_u, builtin("p1").exact_grad_u
+    with pytest.raises(ValueError, match="non-finite"):
+        lagrange_interpolant(nan_beyond(u), mesh, 2)
+    with pytest.raises(ValueError, match="non-finite"):
+        interpolate_weak(mesh, SpaceConfig(k=2, c0_type=True), nan_beyond(u), grad)
+
+
+def test_error_norms_rejects_nonfinite_exact_solution(unit_meshes):
+    # Finite at the six Lagrange nodes of each element, NaN at the
+    # quadrature points: only the e0_true integral sees the NaN.
+    prob = builtin("p1")
+    sol = solve(build_saddle(unit_meshes[1], SpaceConfig(k=2, c0_type=True), prob))
+
+    def nan_off_nodes(x, y):
+        return prob.exact_u(x, y) if np.shape(x)[-1] == 6 else np.full(np.shape(x), np.nan)
+
+    with pytest.raises(ValueError, match="non-finite"):
+        error_norms(sol, replace(prob, exact_u=nan_off_nodes))
+
+
 # -- error norms ----------------------------------------------------------------
 
 @pytest.mark.parametrize("c0", [True, False], ids=["c0", "general"])

@@ -34,6 +34,7 @@ from pdwg.polyquad import (
     project_element,
 )
 from pdwg.problems import builtin
+from pdwg.solver import _eliminate
 from pdwg.wgspace import (
     SpaceConfig,
     apply_weak_hessian,
@@ -410,22 +411,65 @@ def test_saddle_block_structure(unit_meshes):
     system = build_saddle(mesh, config, builtin("p1"))
     assert system.n_primal == 305
     assert system.n_mult == 96
-    K = system.block_matrix()
-    assert K.shape == (401, 401)
-    assert np.abs((K - K.T).data).max() if (K - K.T).nnz else 0.0 == 0.0
-    # Multiplier-multiplier block is empty.
-    lower = K[system.n_primal :, system.n_primal :]
-    assert lower.nnz == 0 or np.abs(lower.data).max() == 0.0
+    assert system.S.shape == (305, 305)
+    assert system.B.shape == (96, 305)
+    assert system.F.shape == (96,)
+    assert (system.S != system.S.T).nnz == 0
+    # The reduced system is symmetric and its multiplier block is empty.
+    K_red, _, free_idx = _eliminate(system)
+    assert K_red.shape == (free_idx.size + 96,) * 2
+    assert (K_red != K_red.T).nnz == 0
+    assert K_red[free_idx.size :, free_idx.size :].nnz == 0
 
 
 def test_rhs_layout(unit_meshes):
+    # rhs_red = [0; F] - [S_fc g; B_c g], against dense blocks.
     mesh = unit_meshes[1]
     config = SpaceConfig(k=2, multiplier_space="pkm1", c0_type=True)
     system = build_saddle(mesh, config, builtin("p1"))
-    rhs = system.rhs()
-    assert rhs.shape == (system.n_primal + system.n_mult,)
-    assert np.all(rhs[: system.n_primal] == 0.0)
-    assert np.any(rhs[system.n_primal :] != 0.0)
+    _, rhs_red, free_idx = _eliminate(system)
+    con, g = system.constrained, system.constrained_values
+    assert np.any(g != 0.0)
+    S, B = system.S.toarray(), system.B.toarray()
+    want = np.concatenate([-S[free_idx][:, con] @ g, system.F - B[:, con] @ g])
+    assert rhs_red.shape == (free_idx.size + system.n_mult,)
+    np.testing.assert_allclose(rhs_red, want, rtol=1e-14, atol=1e-14 * np.abs(want).max())
+    assert np.any(rhs_red[free_idx.size :] != 0.0)
+
+
+def _block_matrix_elimination(system):
+    """Elimination through the whole block matrix: the bitwise oracle of ``_eliminate``."""
+    con = system.constrained
+    free = np.ones(system.n_total, dtype=bool)
+    free[con] = False
+    free_idx = np.flatnonzero(free)
+    K_csc = sp.bmat([[system.S, system.B.T], [system.B, None]], format="csr").tocsc()
+    rhs = np.concatenate([np.zeros(system.n_primal), system.F])
+    rhs_red = rhs[free_idx] - K_csc[:, con][free_idx, :] @ system.constrained_values
+    K_red = K_csc[:, free_idx][free_idx, :].tocsc()
+    return K_red, rhs_red, free_idx
+
+
+@pytest.mark.parametrize("c0", [True, False], ids=["c0", "general"])
+@pytest.mark.parametrize("k", [2, 3])
+@pytest.mark.parametrize("mult", ["pkm1", "pkm2"])
+def test_elimination_from_blocks_is_bitwise_the_block_matrix_one(unit_meshes, c0, k, mult):
+    system = build_saddle(
+        unit_meshes[2], SpaceConfig(k=k, multiplier_space=mult, c0_type=c0), builtin("p1")
+    )
+    assert np.any(system.constrained_values != 0.0)
+    K_red, rhs_red, free_idx = _eliminate(system)
+    want_K, want_rhs, want_idx = _block_matrix_elimination(system)
+    np.testing.assert_array_equal(free_idx, want_idx[want_idx < system.n_primal])
+    assert K_red.format == want_K.format == "csc"
+    assert K_red.shape == want_K.shape
+    for name in ("indptr", "indices", "data"):
+        got, want = getattr(K_red, name), getattr(want_K, name)
+        assert got.dtype == want.dtype, name
+        if name == "data":
+            got, want = got.view(np.int64), want.view(np.int64)
+        np.testing.assert_array_equal(got, want, err_msg=name)
+    assert_bitwise_equal(rhs_red, want_rhs)
 
 
 def test_problem_quad_degree_reaches_load_and_boundary_data(unit_meshes):
@@ -453,8 +497,9 @@ def test_dirichlet_zero_g(unit_meshes):
     zero = lambda x, y: np.zeros(np.shape(x))
     values = apply_dirichlet(system.dofmap, mesh, zero)
     assert np.all(values == 0.0)
-    fixed = replace(system, constrained_values=values)
-    assert np.array_equal(fixed.rhs(), system.rhs())
+    # Zero boundary data moves nothing to the right-hand side: [0; F].
+    _, rhs_red, free_idx = _eliminate(replace(system, constrained_values=values))
+    assert_bitwise_equal(rhs_red, np.concatenate([np.zeros(free_idx.size), system.F]))
 
 
 def test_dirichlet_nodal_reproduction(unit_meshes):
@@ -485,8 +530,6 @@ def test_dirichlet_maps_its_edge_rule_on_boundary_edges_only():
 
 
 def test_eliminated_system_symmetric(unit_meshes):
-    from pdwg.solver import _eliminate
-
     mesh = unit_meshes[1]
     config = SpaceConfig(k=2, multiplier_space="pkm1", c0_type=False)
     p = builtin("p1")
@@ -537,7 +580,8 @@ def test_dump_system_roundtrip(unit_meshes, tmp_path):
         vals.append(float(v))
     n = n_primal + n_mult
     K2 = sp.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
-    d = (K2 - system.block_matrix()).tocoo()
+    K = sp.bmat([[system.S, system.B.T], [system.B, None]], format="csr")
+    d = (K2 - K).tocoo()
     assert d.nnz == 0 or np.abs(d.data).max() < 1e-15
 
 

@@ -4,11 +4,16 @@ import os
 import re
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
+
 import pdwg
+import pdwg.cli
 from pdwg.analysis import CSV_HEADER, LOGLOG_HEADER
 from pdwg.cli import build_parser, main
+from pdwg.problems import builtin
 
 
 # -- flag validation (exit code 2) ----------------------------------------------
@@ -106,6 +111,20 @@ def test_basis_failure_exits_3(tmp_path, capsys):
     assert main(["--problem", "p1", "--k", "8", "--levels", "2", "--out", str(out)]) == 3
     err = capsys.readouterr().err
     assert "degree 8" in err
+    assert len(err.strip().splitlines()) == 1
+    assert not out.exists()
+
+
+def test_nonfinite_exact_solution_exits_3(tmp_path, capsys, monkeypatch):
+    # An exact solution that is NaN near x = 1 stops the study with exit
+    # code 3 instead of writing nan error norms.
+    p1 = builtin("p1")
+    nan_u = lambda x, y: np.where(x > 0.9, np.nan, p1.exact_u(x, y))
+    monkeypatch.setattr(pdwg.cli, "builtin", lambda name: replace(p1, exact_u=nan_u))
+    out = tmp_path / "nan.csv"
+    assert main(["--problem", "p1", "--levels", "2", "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert "non-finite" in err
     assert len(err.strip().splitlines()) == 1
     assert not out.exists()
 

@@ -185,6 +185,22 @@ def test_element_poly_derivatives_analytic(unit_meshes, deg):
         assert np.all(eval_element_poly(mesh, deg, coeffs, pts, dx=dx, dy=dy) == 0.0), (dx, dy)
 
 
+def test_flat_element_named_by_global_index(set_chunk):
+    # 1,500 disjoint right triangles, one of them flattened; with chunks of
+    # 1,024 it lies in the second chunk and is named by its mesh index.
+    from pdwg.mesh import Mesh
+
+    n, flat = 1500, 1100
+    x0 = 2.0 * np.arange(n)
+    corners = np.stack([np.c_[x0, 0 * x0], np.c_[x0 + 1, 0 * x0], np.c_[x0, 0 * x0 + 1]], axis=1)
+    corners[flat, 2] = [x0[flat] + 0.5, 1e-6]
+    mesh = Mesh(corners.reshape(-1, 2), np.arange(3 * n).reshape(n, 3), np.zeros(n, dtype=int))
+    set_chunk(1024)
+    with pytest.raises(ValueError, match=f"element {flat}, Cholesky diagonal ratio"):
+        TriangleBasis(mesh, 2)
+    TriangleBasis(mesh, 0)  # a constant basis is fine on any element
+
+
 def test_degenerate_element_rejected():
     from pdwg.mesh import Mesh
     from pdwg.polyquad import TriangleBasis

@@ -90,7 +90,7 @@ def test_residual_contract(unit_meshes):
     sol = solve(system)
     assert isinstance(sol, WgSolution)
     assert np.isfinite(sol.residual_norm)
-    rhs_norm = np.linalg.norm(system.rhs())
+    rhs_norm = np.linalg.norm(system.F)
     assert sol.residual_norm <= RESIDUAL_RTOL * max(rhs_norm, 1.0)
 
 
