@@ -154,20 +154,69 @@ class SaddleSystem:
         return self.n_primal + self.n_mult
 
 
-def _scatter(values, rows, cols, pairs, shape):
-    """Sum per-element entries into one CSR matrix.
+def _index_dtype(maxval):
+    """The index type scipy gives a sparse matrix whose indices reach ``maxval``."""
+    return np.int32 if maxval <= np.iinfo(np.int32).max else np.int64
 
-    With ``(a, b) = pairs``, ``values[e, i]`` lands at
-    ``(rows[e, a[i]], cols[e, b[i]])``.  The index arrays are gathered
-    directly in the index type that ``coo_matrix`` keeps (int32 unless
-    ``shape`` needs more), so the COO stage holds no wider copy of them.
-    ``np.take`` returns them C-ordered, so ``ravel`` copies nothing more.
+
+def _slot_map(ids, pairs, n_rows):
+    """Where ``coo_matrix(...).tocsr()`` puts each per-element entry.
+
+    With ``(a, b) = pairs`` in row-major order, entry ``i`` of element
+    ``e`` lies in row ``ids[e, a[i]]``.  scipy's COO-to-CSR conversion is
+    a stable counting sort by row, so among one row's entries it keeps
+    the element-major order of the triplets; the slot of entry ``(e, i)``
+    in its unsummed arrays is ``base[e, a[i]] + within[i]``.
+    ``base[e, l]`` is ``indptr[ids[e, l]]`` plus the entries of that row
+    from earlier elements; ``within[i]`` is the rank of pair ``i`` among
+    the pairs of local row ``a[i]``.  The DOFs of one element are
+    distinct, so no two of its local rows share a row.  The columns must
+    lie below ``n_rows``, as in S.  Returns ``(indptr, base, within)`` in
+    the index type of the unsummed arrays.
     """
-    idx = np.int32 if max(shape) <= np.iinfo(np.int32).max else np.int64
-    a, b = pairs
-    r = np.take(rows.astype(idx), a, axis=1).ravel()
-    c = np.take(cols.astype(idx), b, axis=1).ravel()
-    return sp.coo_matrix((values.ravel(), (r, c)), shape=shape).tocsr()
+    a = pairs[0]
+    nt, nloc = ids.shape
+    idx = _index_dtype(max(nt * a.size, n_rows))
+    # Entries per incidence (e, l): the pairs of local row l.
+    per_row = np.broadcast_to(np.bincount(a, minlength=nloc), ids.shape).ravel()
+    flat = ids.ravel()
+    order = np.argsort(flat, kind="stable")
+    ends = np.cumsum(per_row[order])
+    base = np.empty(flat.size, dtype=idx)
+    base[order] = ends - per_row[order]
+    indptr = np.zeros(n_rows + 1, dtype=idx)
+    counts = np.bincount(flat, weights=per_row, minlength=n_rows)
+    np.cumsum(counts.astype(idx), out=indptr[1:])
+    within = (np.arange(a.size) - np.searchsorted(a, a)).astype(idx)
+    return indptr, base.reshape(nt, nloc), within
+
+
+def _summed_csr(data, indices, indptr, shape, drop_zeros=False):
+    """CSR matrix of unsummed CSR arrays, duplicates summed in place.
+
+    Each row must hold its entries in the order in which
+    ``coo_matrix(...).tocsr()`` holds them before it sums duplicates
+    (see :func:`_slot_map`); scipy's own ``sum_duplicates``, then
+    ``eliminate_zeros`` if ``drop_zeros``, then give that conversion's
+    bits.  The matrix keeps the memory of ``data`` and ``indices``; where
+    entries were dropped, the arrays are shrunk in place to the entries
+    kept, so nothing else may hold a view of them.
+    """
+    M = sp.csr_matrix((data, indices, indptr), shape=shape)
+    M.sum_duplicates()
+    if drop_zeros:
+        M.eliminate_zeros()
+    nnz = M.nnz
+    for name in ("data", "indices"):
+        owner = getattr(M, name).base
+        if owner is not None and owner.size > nnz:
+            # M holds a view of the first nnz entries of the argument, or
+            # of scipy's copy of it.  Hold the array itself, shrunk in
+            # place: a copy would hold the unsummed and summed entries at
+            # once.
+            setattr(M, name, owner)
+            owner.resize(nnz, refcheck=False)
+    return M
 
 
 def _mismatches(layout):
@@ -287,18 +336,24 @@ def assemble_stabilizer(mesh, dofmap):
     blocks ``h**-3 * jump0 + h**-1 * jump1`` of
     :func:`stabilizer_local_parts` are averaged with their transposes at
     the local pairs of :func:`_coupled_pairs`; every other local entry is
-    a structural zero and is never stored.  One scatter of the kept
-    entries gives S, and its exact zeros are dropped.  S needs no global
-    symmetrization: each averaged block is exactly symmetric, and two
-    distinct DOFs share at most two elements, so an off-diagonal entry
-    sums at most two terms and ``a + b == b + a``.  The temporaries are
-    one chunk's Gram blocks, the kept entries with their int32 indices
-    and the COO-to-CSR conversion.
+    a structural zero and is never stored.  Each chunk writes its
+    averaged entries and their columns straight into the unsummed CSR
+    arrays, at the slots of :func:`_slot_map`; chunks write disjoint
+    slots.  Summing the duplicates in place gives the bits of a COO
+    scatter of the same entries, and the exact zeros are dropped.  S
+    needs no global symmetrization: each averaged block is exactly
+    symmetric, and two distinct DOFs share at most two elements, so an
+    off-diagonal entry sums at most two terms and ``a + b == b + a``.
+    The temporaries are one chunk's Gram blocks and the slot map; the
+    unsummed arrays become S's own, shrunk in place.
     """
     _fetch_chunk_inputs(mesh, dofmap.config)
-    nt = mesh.n_triangles
+    nt, n = mesh.n_triangles, dofmap.n_primal
     a, b = pairs = _coupled_pairs(dofmap.layout)
-    kept = np.empty((nt, a.size))
+    indptr, base, within = _slot_map(dofmap.element_primal, pairs, n)
+    ids = dofmap.element_primal.astype(indptr.dtype)
+    data = np.empty(nt * a.size)
+    indices = np.empty(nt * a.size, dtype=indptr.dtype)
     h = mesh.h_t[:, None, None]
 
     def chunk(e):
@@ -308,15 +363,14 @@ def assemble_stabilizer(mesh, dofmap):
             jump0 /= h[e] ** 3
             jump0 += local
             local = jump0
-        block = kept[e]
-        np.add(local[:, a, b], local[:, b, a], out=block)
+        block = np.add(local[:, a, b], local[:, b, a])
         block *= 0.5
+        slots = base[e][:, a] + within
+        data[slots] = block
+        indices[slots] = ids[e][:, b]
 
     _for_chunks(nt, chunk)
-    ids = dofmap.element_primal
-    S = _scatter(kept, ids, ids, pairs, (dofmap.n_primal, dofmap.n_primal))
-    S.eliminate_zeros()
-    return S
+    return _summed_csr(data, indices, indptr, (n, n), drop_zeros=True)
 
 
 def assemble_constraint(mesh, dofmap, coeff, f, quad_degree=DATA_DEGREE_DEFAULT):
@@ -328,7 +382,11 @@ def assemble_constraint(mesh, dofmap, coeff, f, quad_degree=DATA_DEGREE_DEFAULT)
     interior quadrature points as ``fn(x, y, region=region)`` with the
     element region tags, by a rule of degree at least ``quad_degree``
     and at least ``GEOMETRY_TRI_DEGREE(k)``, one chunk of elements at a
-    time, together with that chunk's weak Hessians.
+    time, together with that chunk's weak Hessians.  Multipliers are
+    numbered element by element, so the local blocks, in element order,
+    are already B's unsummed CSR data, and B keeps their memory; summing
+    only sorts each row's columns.  ``F`` is the local loads in the same
+    order.
     """
     config = dofmap.config
     qd = max(quad_degree, GEOMETRY_TRI_DEGREE(config.k))
@@ -357,10 +415,14 @@ def assemble_constraint(mesh, dofmap, coeff, f, quad_degree=DATA_DEGREE_DEFAULT)
         F_local[e] = np.einsum("eqn,eq,eq->en", VS, fvals, w, optimize=True)
 
     _for_chunks(nt, chunk)
-    B = _scatter(B_local.reshape(nt, -1), dofmap.element_mult, dofmap.element_primal,
-                 np.indices((ns, nloc)).reshape(2, -1), (dofmap.n_mult, dofmap.n_primal))
-    F = np.zeros(dofmap.n_mult)
-    np.add.at(F, dofmap.element_mult.ravel(), F_local.ravel())
+    # Row n of element e is row e * ns + n; its columns are the element's DOFs.
+    idx = _index_dtype(max(B_local.size, dofmap.n_mult, dofmap.n_primal))
+    cols = np.repeat(dofmap.element_primal.astype(idx), ns, axis=0)
+    indptr = np.arange(0, B_local.size + 1, nloc, dtype=idx)
+    B = _summed_csr(B_local.reshape(-1), cols.reshape(-1), indptr,
+                    (dofmap.n_mult, dofmap.n_primal))
+    # + 0.0 turns -0 into +0, as a sum into zeros would.
+    F = F_local.ravel() + 0.0
     return B, F
 
 
@@ -379,16 +441,14 @@ def apply_dirichlet(dofmap, mesh, g, quad_degree=DATA_DEGREE_DEFAULT):
     values = np.zeros(dofmap.constrained.shape[0])
     if dofmap.config.c0_type:
         coords = dofmap.nodes.coords[dofmap.constrained]
-        values[:] = np.asarray(g(coords[:, 0], coords[:, 1]), dtype=float)
+        values[:] = _finite(g(coords[:, 0], coords[:, 1]), "boundary data")
     else:
         bedges = mesh.boundary_edges
         rule = edge_quadrature(max(quad_degree, GEOMETRY_EDGE_DEGREE(k)))
         pts, w, t = _physical_edge_rule(mesh, rule, bedges)
-        gvals = np.asarray(g(pts[..., 0], pts[..., 1]), dtype=float)
+        gvals = _finite(g(pts[..., 0], pts[..., 1]), "boundary data")
         X = get_edge_basis(mesh, k).eval_ref(t, bedges)
         values[:] = np.einsum("eqn,eq,eq->en", X, gvals, w, optimize=True).ravel()
-    if not np.all(np.isfinite(values)):
-        raise ValueError("boundary data evaluation returned a non-finite value")
     return values
 
 

@@ -36,6 +36,11 @@ def assert_bitwise_equal(got, want):
     np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
 
 
+def owned_size(arr):
+    """Entries of the array that holds the memory of ``arr``."""
+    return (arr if arr.base is None else arr.base).size
+
+
 def mesh_hierarchy(kind, levels):
     mesh = build_initial_mesh(DomainSpec(kind))
     out = [mesh]

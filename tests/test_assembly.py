@@ -43,7 +43,7 @@ from pdwg.wgspace import (
     weak_hessian_local,
 )
 
-from conftest import assert_bitwise_equal, assert_csr_bitwise_equal, mesh_hierarchy
+from conftest import assert_bitwise_equal, assert_csr_bitwise_equal, mesh_hierarchy, owned_size
 
 A_CONST = [[3.0, 1.0], [1.0, 2.0]]
 
@@ -270,6 +270,40 @@ def test_stabilizer_threads_each_hold_one_chunk(set_chunk, set_workers, workers)
     blocks = mesh.n_triangles * dm.layout.nloc**2 * 8
     chunk_blocks = 128 * dm.layout.nloc**2 * 8
     assert peak <= 2.5 * blocks + (workers - 1) * 2.0 * chunk_blocks
+
+
+@pytest.mark.parametrize("c0", [False, True])
+def test_stabilizer_peak_within_its_csr_size(c0):
+    # Peak traced allocation while building S at level 6, in units of the
+    # finished S's bytes: 2.83 (general) and 3.34 (C0) through a COO
+    # stage, 2.18 and 2.43 with the entries written straight into the
+    # unsummed CSR arrays.
+    mesh = mesh_hierarchy("unit_square", 6)[-1]  # p5's domain, fresh memo
+    config = SpaceConfig(k=2, multiplier_space="pkm1" if c0 else "pkm2", c0_type=c0)
+    dm = build_dof_map(mesh, config)
+    stabilizer_local_parts(mesh, dm, slice(0, 1))  # builds the bases and rules S reads
+    tracemalloc.start()
+    try:
+        S = assemble_stabilizer(mesh, dm)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.6 * (S.data.nbytes + S.indices.nbytes + S.indptr.nbytes)
+
+
+@pytest.mark.parametrize("c0", [False, True])
+def test_assembled_blocks_own_exactly_nnz_entries(c0):
+    # S and B keep the memory of their unsummed arrays, shrunk in place
+    # to nnz entries; a COO stage left S views of arrays of 1.22 (general)
+    # and 1.43 (C0) times nnz entries at level 6.
+    mesh = mesh_hierarchy("unit_square", 6)[-1]
+    config = SpaceConfig(k=2, multiplier_space="pkm1" if c0 else "pkm2", c0_type=c0)
+    dm = build_dof_map(mesh, config)
+    p = builtin("p1")
+    S = assemble_stabilizer(mesh, dm)
+    B, _ = assemble_constraint(mesh, dm, p.coeff, p.f, p.quad_degree)
+    for M in (S, B):
+        assert owned_size(M.data) == owned_size(M.indices) == M.nnz
 
 
 @pytest.mark.parametrize("k", [2, 3, 4])
@@ -500,6 +534,17 @@ def test_dirichlet_zero_g(unit_meshes):
     # Zero boundary data moves nothing to the right-hand side: [0; F].
     _, rhs_red, free_idx = _eliminate(replace(system, constrained_values=values))
     assert_bitwise_equal(rhs_red, np.concatenate([np.zeros(free_idx.size), system.F]))
+
+
+@pytest.mark.parametrize("c0", [True, False])
+def test_nonfinite_boundary_data_rejected(unit_meshes, c0):
+    # Boundary nodes (C0) or edge quadrature points (general) with x > 0.9
+    # get an infinite value.
+    mesh = unit_meshes[1]
+    dm = build_dof_map(mesh, SpaceConfig(k=2, c0_type=c0))
+    bad = lambda x, y: np.where(x > 0.9, np.inf, 1.0)
+    with pytest.raises(ValueError, match="^boundary data evaluation returned a non-finite value$"):
+        apply_dirichlet(dm, mesh, bad)
 
 
 def test_dirichlet_nodal_reproduction(unit_meshes):
