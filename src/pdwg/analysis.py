@@ -50,7 +50,6 @@ from .problems import cordes_check, cordes_samples
 from .solver import solve
 from .wgspace import (
     SpaceConfig,
-    _fetch_chunk_inputs,
     apply_weak_hessian,
     build_dof_map,
     lagrange_nodes,
@@ -208,7 +207,6 @@ def discrete_norms(primal, mesh, config, coeff):
     The integrands are formed one chunk of elements at a time.
     """
     dofmap = build_dof_map(mesh, config)
-    _fetch_chunk_inputs(mesh, config)
     qd = max(GEOMETRY_TRI_DEGREE(config.k), DATA_DEGREE_DEFAULT)
     primal = np.asarray(primal, dtype=float)
 

@@ -44,7 +44,6 @@ from .polyquad import (
 )
 from .wgspace import (
     _element_edge_traces,
-    _fetch_chunk_inputs,
     build_dof_map,
     nodal_to_modal,
     weak_hessian_local,
@@ -309,7 +308,6 @@ def stabilizer_energy(mesh, dofmap, primal):
     one chunk of elements at a time; each one's weighted squares are
     summed over the whole mesh at once.
     """
-    _fetch_chunk_inputs(mesh, dofmap.config)
     loc = dofmap.local_vectors(np.asarray(primal, dtype=float))
     nt = mesh.n_triangles
     h = mesh.h_t[:, None, None]
@@ -347,7 +345,6 @@ def assemble_stabilizer(mesh, dofmap):
     The temporaries are one chunk's Gram blocks and the slot map; the
     unsummed arrays become S's own, shrunk in place.
     """
-    _fetch_chunk_inputs(mesh, dofmap.config)
     nt, n = mesh.n_triangles, dofmap.n_primal
     a, b = pairs = _coupled_pairs(dofmap.layout)
     indptr, base, within = _slot_map(dofmap.element_primal, pairs, n)
@@ -392,7 +389,6 @@ def assemble_constraint(mesh, dofmap, coeff, f, quad_degree=DATA_DEGREE_DEFAULT)
     qd = max(quad_degree, GEOMETRY_TRI_DEGREE(config.k))
     nt, ns, nloc = mesh.n_triangles, dofmap.ns, dofmap.layout.nloc
 
-    _fetch_chunk_inputs(mesh, config)
     sb = get_tri_basis(mesh, config.mult_degree)
     region = mesh.region_tags[:, None]
 

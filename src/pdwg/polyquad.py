@@ -25,10 +25,11 @@ of its chunk, so the chunk size changes no bit of any result.
 Every such loop goes through :func:`_for_chunks`, which runs its chunks
 on up to one thread per CPU of the process's affinity mask, threads that
 live for one call, and inline when the loop has too few chunks to gain.
-Each chunk does the serial loop's arithmetic and writes only its own
-slice of the output, so the results are bitwise the same for any number
-of threads; numpy releases the GIL in the einsums, matmuls and ufuncs
-that do a chunk's work.
+The caller runs the first chunk alone, which caches every per-mesh input
+the others read.  Each chunk does the serial loop's arithmetic and writes
+only its own slice of the output, so the results are bitwise the same
+for any number of threads; numpy releases the GIL in the einsums,
+matmuls and ufuncs that do a chunk's work.
 """
 
 from __future__ import annotations
@@ -111,14 +112,14 @@ def _for_chunks(nt, body):
     The loop runs on ``min(_WORKERS, n // _CHUNKS_PER_THREAD)`` threads
     for ``n`` chunks; with fewer than two, or when called from a chunk
     that shares its loop with other threads, the chunks run inline, in
-    order.  Otherwise the caller and one helper thread per further thread
-    take chunks in order from one counter.  The caller must have cached
-    every per-mesh input the chunks read (see
-    :func:`~pdwg.wgspace._fetch_chunk_inputs`), so that the threads only
-    read ``mesh._cache``.  An exception in a chunk propagates unchanged;
-    the first failure stops the hand-out, and of all failed chunks the
-    lowest one's error is raised.  Every lower chunk has run, so this is
-    the error the serial loop raises.
+    order.  Otherwise the caller first runs chunk 0 alone: every chunk
+    must read the same per-mesh inputs, so the threads then only read
+    ``mesh._cache``, and a loop that chunk 0 starts (a basis built on
+    first use) may dispatch too.  Then the caller and one helper per
+    further thread take the other chunks in order from one counter.  An
+    exception in a chunk propagates unchanged; the first failure stops
+    the hand-out, and of all failed chunks the lowest one's error is
+    raised.  Every lower chunk has run, so this is the serial error.
     """
     chunks = list(_chunks(nt))
     workers = min(_WORKERS, len(chunks) // _CHUNKS_PER_THREAD)
@@ -127,8 +128,9 @@ def _for_chunks(nt, body):
             body(e)
         return
 
+    body(chunks[0])
     lock = threading.Lock()
-    todo = enumerate(chunks)
+    todo = enumerate(chunks[1:], start=1)
     failed = {}  # chunk index -> exception
 
     def work():
@@ -277,7 +279,6 @@ class TriangleBasis:
         self.dim = self.exps.shape[0]
         self.centers = mesh.centroids
         self.scales = mesh.h_t
-        mesh.areas  # cached before the chunks read it through get_element_rule
         qd = min(2 * self.degree + 2, MAX_EXACT_DEGREE)
         cause = (
             f"Gram matrix of the scaled-monomial basis of degree {self.degree} "

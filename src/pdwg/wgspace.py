@@ -29,6 +29,7 @@ DOF vector, built for one chunk of elements at a time.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -83,7 +84,11 @@ class SpaceConfig:
     c0_type: bool = True
 
     def __post_init__(self):
-        if int(self.k) < 2:
+        try:
+            k = operator.index(self.k)
+        except TypeError:
+            raise ValueError(f"polynomial degree k must be an integer, got {self.k!r}") from None
+        if k < 2:
             raise ValueError(f"polynomial degree k must be >= 2, got {self.k}")
         if self.multiplier_space not in _MULTIPLIER_SPACES:
             raise ValueError(
@@ -229,11 +234,13 @@ class DofMap:
     Primal numbering, general variant: per-element interior blocks
     first, then per-edge ``vb`` blocks, then per-edge ``vg`` blocks.
     C0 variant: shared Lagrange nodes first, then per-edge ``vg``
-    blocks.  Multiplier unknowns are numbered separately, one block of
-    ``dim S`` per element.  Constrained DOFs are the boundary-edge
-    ``vb`` blocks (general) or the boundary Lagrange nodes (C0); the
-    gradient blocks ``vg`` are never constrained.  Only what cannot be
-    derived is stored; the rest are properties.
+    blocks.  Multiplier unknowns are numbered separately and element
+    major: multiplier ``n`` of element ``e`` is ``e * ns + n``, which
+    :func:`~pdwg.assembly.assemble_constraint` relies on.  Constrained
+    DOFs are the boundary-edge ``vb`` blocks (general) or the boundary
+    Lagrange nodes (C0); the gradient blocks ``vg`` are never
+    constrained.  Only what cannot be derived is stored; the rest are
+    properties.
     """
 
     config: SpaceConfig
@@ -255,10 +262,6 @@ class DofMap:
     @property
     def n_mult(self):
         return self.element_primal.shape[0] * self.ns
-
-    @property
-    def element_mult(self):  # (nt, ns)
-        return np.arange(self.n_mult, dtype=np.int64).reshape(-1, self.ns)
 
     @property
     def n_v0(self):
@@ -352,35 +355,6 @@ def _element_edge_traces(mesh, config, elements=slice(None)):
     Xg = get_edge_basis(mesh, k - 1).eval_ref(t, g)
     Xb = None if config.c0_type else get_edge_basis(mesh, k).eval_ref(t, g)
     return epts[g], ew[g], Xg, Xb
-
-
-def _fetch_chunk_inputs(mesh, config):
-    """Cache everything per mesh that the chunk operators of ``config`` read.
-
-    That is the DOF map, both element bases, the edge rule and bases of
-    :func:`_element_edge_traces`, the outward normals and, in the C0
-    variant, the nodal map.  Every function that hands a chunk loop to
-    :func:`~pdwg.polyquad._for_chunks` and reads them there (through
-    :func:`_element_edge_traces`, :func:`weak_hessian_local`,
-    ``assembly._edge_jumps`` or the bases) calls this first, so the
-    threads only read ``mesh._cache`` and no input is built twice; a
-    second call costs only cache lookups.  ``analysis.error_norms`` reads
-    only the degree-k basis, which building its solution's system cached.
-    This list must name whatever those functions read:
-    ``test_helper_threads_read_only_cached_inputs`` fails when a helper
-    thread looks up a value that was not cached when its loop started.
-    """
-    k = config.k
-    build_dof_map(mesh, config)
-    get_tri_basis(mesh, k)
-    get_tri_basis(mesh, config.mult_degree)
-    get_edge_rule(mesh, GEOMETRY_EDGE_DEGREE(k))
-    get_edge_basis(mesh, k - 1)
-    if config.c0_type:
-        nodal_to_modal(mesh, k)
-    else:
-        get_edge_basis(mesh, k)
-    outward_normals(mesh)
 
 
 def weak_hessian_local(mesh, config, elements=slice(None)):

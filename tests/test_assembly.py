@@ -344,12 +344,13 @@ def constraint_whole_array(mesh, dm, problem):
         B_local += M @ H
     fvals = np.broadcast_to(problem.f(x, y, region=region), x.shape)
     F_local = np.einsum("eqn,eq,eq->en", VS, fvals, w, optimize=True)
-    rows = np.repeat(dm.element_mult[:, :, None], nloc, axis=2)
+    element_mult = np.arange(dm.n_mult).reshape(-1, ns)
+    rows = np.repeat(element_mult[:, :, None], nloc, axis=2)
     cols = np.repeat(dm.element_primal[:, None, :], ns, axis=1)
     B = sp.coo_matrix((B_local.ravel(), (rows.ravel(), cols.ravel())),
                       shape=(dm.n_mult, dm.n_primal)).tocsr()
     F = np.zeros(dm.n_mult)
-    np.add.at(F, dm.element_mult.ravel(), F_local.ravel())
+    np.add.at(F, element_mult.ravel(), F_local.ravel())
     return B, F
 
 

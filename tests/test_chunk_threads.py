@@ -172,11 +172,47 @@ def test_threads_raise_the_serial_error(chunked_mesh, pool):
     assert messages == [f"coefficient fails on the chunk from element {2 * POOL_CHUNK}"] * 3
 
 
+@pytest.mark.parametrize("workers", [2, 3])
+def test_first_chunk_runs_alone_on_the_caller(pool, workers):
+    # Chunk 0 caches the per-mesh inputs every chunk reads, so it runs to
+    # completion on the calling thread before any helper thread starts,
+    # and an error in it is raised before any starts.
+    started = pool(workers)
+    caller = threading.current_thread()
+    lock = threading.Lock()
+    events = []
+
+    def chunk(e):
+        with lock:
+            events.append(("start", e.start, threading.current_thread(), len(started)))
+        time.sleep(0.01)
+        with lock:
+            events.append(("end", e.start, threading.current_thread(), len(started)))
+
+    _for_chunks(7 * POOL_CHUNK, chunk)
+    assert events[:2] == [("start", 0, caller, 0), ("end", 0, caller, 0)]
+    assert sorted(ev[1] for ev in events if ev[0] == "end") == [
+        i * POOL_CHUNK for i in range(7)
+    ]
+    assert len(started) == workers - 1
+
+    def fail(e):
+        raise ValueError(f"chunk from element {e.start}")
+
+    started = pool(workers)
+    with pytest.raises(ValueError, match="chunk from element 0$"):
+        _for_chunks(7 * POOL_CHUNK, fail)
+    assert started == []
+
+
 def test_bases_first_built_inside_a_chunk(chunked_mesh, solutions, pool):
     # Every chunk of an outer loop computes the stabilizer energy on a
-    # fresh mesh, so its bases and nodal map are first built inside the
-    # threads, all at once; their own loops run inline.  Each chunk's
-    # energy has the bits of the inline computation.
+    # fresh mesh.  Chunk 0 runs alone on the caller and first builds the
+    # degree-k basis and the nodal map there, so their loops and the
+    # energy's own loop each dispatch one helper before the outer loop
+    # starts its own; the later chunks find them cached and run their
+    # loops inline.  Each chunk's energy has the bits of the inline
+    # computation.
     sol = solutions["C0"]
     config = CONFIGS["C0"]
     pool(1)
@@ -193,16 +229,16 @@ def test_bases_first_built_inside_a_chunk(chunked_mesh, solutions, pool):
         )
 
     _for_chunks(mesh.n_triangles, chunk)
-    assert len(started) == 1
+    assert len(started) == 4
     assert_bitwise_equal(energies, np.full(nchunks, want))
 
 
 def test_helper_threads_read_only_cached_inputs(chunked_mesh, pool, monkeypatch):
-    # Each function that dispatches caches the per-mesh inputs its chunks
-    # read before the threads start.  With each dispatching function the
-    # first to use a fresh mesh, every per-mesh value a helper thread looks
-    # up was in the cache when its loop started its threads, whatever the
-    # timing.
+    # Each dispatching loop runs chunk 0 alone first, which caches the
+    # per-mesh inputs every chunk reads.  With each dispatching function
+    # the first to use a fresh mesh, every per-mesh value a helper thread
+    # looks up was in the cache when its loop started its threads,
+    # whatever the timing.
     class Recording(dict):
         at_dispatch = frozenset()
 
@@ -231,6 +267,8 @@ def test_helper_threads_read_only_cached_inputs(chunked_mesh, pool, monkeypatch)
         return meshes[-1]
 
     problem = builtin("p1")
+    TriangleBasis(fresh(), 3)
+    nodal_to_modal(fresh(), 2)
     project_element(lambda x, y: np.exp(x) * np.sin(3.0 * y), 3, fresh())
     for config in CONFIGS.values():
         mesh = fresh()

@@ -46,6 +46,19 @@ def test_config_validation():
     assert SpaceConfig(k=3, multiplier_space="pkm2").mult_degree == 1
 
 
+@pytest.mark.parametrize("k", [2.5, 3.0, "3", None])
+def test_config_rejects_a_non_integral_degree(k):
+    with pytest.raises(ValueError, match=f"must be an integer, got {k!r}"):
+        SpaceConfig(k=k)
+
+
+def test_config_accepts_numpy_integer_degrees():
+    config = SpaceConfig(k=np.int64(3))
+    assert config.mult_degree == 2
+    with pytest.raises(ValueError, match=">= 2"):
+        SpaceConfig(k=np.int32(1))
+
+
 def test_local_layout_general():
     lo = LocalLayout(2, False)
     assert lo.n0 == 6 and lo.nb == 3 and lo.ng == 2
