@@ -36,9 +36,9 @@ from .polyquad import (
     GEOMETRY_TRI_DEGREE,
     _finite,
     _for_chunks,
-    _physical_edge_rule,
+    edge_basis,
     edge_quadrature,
-    get_edge_basis,
+    get_edge_rule,
     get_element_rule,
     get_tri_basis,
 )
@@ -278,23 +278,26 @@ def _edge_jumps(mesh, dofmap, elements=slice(None)):
 
 
 def stabilizer_local_parts(mesh, dofmap, elements=slice(None)):
-    """Unweighted boundary-mismatch Gram blocks of the stabilizer.
+    """Local stabilizer blocks, (ne, nloc, nloc) for ``elements`` (all by default).
 
-    Returns ``(jump0, jump1)`` of shape (ne, nloc, nloc) for ``elements``
-    (all by default) such that the local stabilizer is
-    ``h_T**-3 * jump0 + h_T**-1 * jump1``; ``jump0`` is None in the C0
-    variant, where the value mismatch vanishes.
+    The block of element ``T`` is the sum over the mismatches of
+    :func:`_mismatches` of ``h_T**-p`` times their Gram matrices; the
+    Grams of one weight are summed before they are divided by ``h_T**p``.
     :func:`assemble_stabilizer` asks for one chunk of elements at a time.
     """
     we, jumps = _edge_jumps(mesh, dofmap, elements)
-    jump0, jump1 = None, np.zeros(we.shape[:1] + (dofmap.layout.nloc,) * 2)
+    h = mesh.h_t[elements, None, None]
+    grams = {}
     for p, J in jumps:
         gram = np.einsum("etql,etqm,etq->elm", J, J, we, optimize=True)
-        if p == 1:
-            jump1 += gram
-        else:
-            jump0 = gram
-    return jump0, jump1
+        if p in grams:
+            gram += grams[p]
+        grams[p] = gram
+    local = None
+    for p, gram in grams.items():
+        gram /= h**p
+        local = gram if local is None else np.add(local, gram, out=local)
+    return local
 
 
 def stabilizer_energy(mesh, dofmap, primal):
@@ -330,8 +333,7 @@ def stabilizer_energy(mesh, dofmap, primal):
 def assemble_stabilizer(mesh, dofmap):
     """Global stabilizer matrix S (symmetric PSD, CSR).
 
-    Built one chunk of elements at a time: the chunk's
-    blocks ``h**-3 * jump0 + h**-1 * jump1`` of
+    Built one chunk of elements at a time: the chunk's local blocks of
     :func:`stabilizer_local_parts` are averaged with their transposes at
     the local pairs of :func:`_coupled_pairs`; every other local entry is
     a structural zero and is never stored.  Each chunk writes its
@@ -351,15 +353,9 @@ def assemble_stabilizer(mesh, dofmap):
     ids = dofmap.element_primal.astype(indptr.dtype)
     data = np.empty(nt * a.size)
     indices = np.empty(nt * a.size, dtype=indptr.dtype)
-    h = mesh.h_t[:, None, None]
 
     def chunk(e):
-        jump0, local = stabilizer_local_parts(mesh, dofmap, e)
-        local /= h[e]
-        if jump0 is not None:
-            jump0 /= h[e] ** 3
-            jump0 += local
-            local = jump0
+        local = stabilizer_local_parts(mesh, dofmap, e)
         block = np.add(local[:, a, b], local[:, b, a])
         block *= 0.5
         slots = base[e][:, a] + within
@@ -440,10 +436,9 @@ def apply_dirichlet(dofmap, mesh, g, quad_degree=DATA_DEGREE_DEFAULT):
         values[:] = _finite(g(coords[:, 0], coords[:, 1]), "boundary data")
     else:
         bedges = mesh.boundary_edges
-        rule = edge_quadrature(max(quad_degree, GEOMETRY_EDGE_DEGREE(k)))
-        pts, w, t = _physical_edge_rule(mesh, rule, bedges)
+        pts, w, t = get_edge_rule(mesh, max(quad_degree, GEOMETRY_EDGE_DEGREE(k)), bedges)
         gvals = _finite(g(pts[..., 0], pts[..., 1]), "boundary data")
-        X = get_edge_basis(mesh, k).eval_ref(t, bedges)
+        X = edge_basis(mesh, k, t, bedges)
         values[:] = np.einsum("eqn,eq,eq->en", X, gvals, w, optimize=True).ravel()
     return values
 

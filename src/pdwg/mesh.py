@@ -152,9 +152,9 @@ class Mesh:
     Raises
     ------
     ValueError
-        On non-CCW or degenerate triangles, out-of-range vertex ids, or
-        non-manifold connectivity (an edge shared by more than two
-        triangles).
+        On misshapen arrays, non-CCW or degenerate triangles, out-of-range
+        vertex ids, or non-manifold connectivity (an edge shared by more
+        than two triangles).
     """
 
     vertices: np.ndarray
@@ -173,7 +173,7 @@ class Mesh:
         self.vertices = np.ascontiguousarray(self.vertices, dtype=float)
         self.triangles = np.ascontiguousarray(self.triangles, dtype=np.int64)
         self.region_tags = np.ascontiguousarray(self.region_tags, dtype=np.int64)
-        _validate_triangles(self.vertices, self.triangles)
+        _validate_triangles(self.vertices, self.triangles, self.region_tags)
 
         nt = self.triangles.shape[0]
         pairs = self.triangles[:, [[0, 1], [1, 2], [2, 0]]].reshape(-1, 2)
@@ -264,7 +264,13 @@ class Mesh:
         return mask
 
 
-def _validate_triangles(vertices, triangles):
+def _validate_triangles(vertices, triangles, region_tags):
+    nt = len(triangles)
+    for name, arr, shape in (("vertices", vertices, (len(vertices), 2)),
+                             ("triangles", triangles, (nt, 3)),
+                             ("region_tags", region_tags, (nt,))):
+        if arr.shape != shape:
+            raise ValueError(f"mesh {name} must have shape {shape}, got {arr.shape}")
     if not np.all(np.isfinite(vertices)):
         raise ValueError("mesh vertices must have finite coordinates")
     if triangles.min(initial=0) < 0 or triangles.max(initial=-1) >= len(vertices):

@@ -13,7 +13,8 @@ Gram-Schmidt-ed through a Cholesky factorization of the quadrature Gram
 matrix.  With orthonormal bases every L2 projection reduces to plain
 moment evaluation and coefficient vectors carry the L2 norm directly.
 Edge bases are Legendre polynomials in the arclength parameter of the
-edge, normalized by edge length, hence orthonormal analytically.
+edge, normalized by edge length, hence orthonormal analytically.  Rules and
+edge bases are computed per call for the elements or edges asked.
 
 Work at quadrature resolution (basis values at element quadrature
 points, mapped rules, function values) runs over one chunk of
@@ -35,6 +36,7 @@ matmuls and ufuncs that do a chunk's work.
 from __future__ import annotations
 
 import functools
+import operator
 import os
 import threading
 from dataclasses import dataclass
@@ -51,9 +53,8 @@ __all__ = [
     "monomial_exponents",
     "space_dim",
     "TriangleBasis",
-    "EdgeBasis",
     "get_tri_basis",
-    "get_edge_basis",
+    "edge_basis",
     "get_element_rule",
     "get_edge_rule",
     "project_element",
@@ -179,7 +180,10 @@ class QuadratureRule:
 
 
 def _check_degree(exact_degree):
-    d = int(exact_degree)
+    try:
+        d = operator.index(exact_degree)
+    except TypeError:
+        raise ValueError(f"exact_degree must be an integer, got {exact_degree!r}") from None
     if d < 0 or d > MAX_EXACT_DEGREE:
         raise ValueError(
             f"exact_degree must be in [0, {MAX_EXACT_DEGREE}], got {exact_degree}"
@@ -356,28 +360,9 @@ class TriangleBasis:
         return np.einsum("e...m,emn->e...n", V, self.coeff[elements], optimize=True)
 
 
-class EdgeBasis:
-    """Orthonormal Legendre bases of ``P_degree`` on every mesh edge.
-
-    The parameter ``t`` runs over [-1, 1] from the lower-id endpoint to
-    the higher-id endpoint (the global edge orientation); both elements
-    adjacent to an edge therefore see identical basis functions.
-    """
-
-    def __init__(self, mesh, degree):
-        self.degree = int(degree)
-        self.dim = self.degree + 1
-        lengths = mesh.edge_lengths
-        self.norms = np.sqrt((2.0 * np.arange(self.dim) + 1.0)[None, :] / lengths[:, None])
-
-    def eval_ref(self, t, edges=slice(None)):
-        """Values at reference parameters ``t`` on ``edges`` (all by default).
-
-        The shape is ``norms[edges].shape[:-1] + (len(t), dim)``, so an
-        (nt, 3) array of edge ids gives each element's three edges.
-        """
-        P = np.polynomial.legendre.legvander(np.asarray(t, dtype=float), self.degree)
-        return P * self.norms[edges][..., None, :]
+@_per_mesh
+def get_tri_basis(mesh, degree):
+    return TriangleBasis(mesh, degree)
 
 
 def get_element_rule(mesh, degree, elements=slice(None)):
@@ -399,40 +384,40 @@ def get_element_rule(mesh, degree, elements=slice(None)):
 
 
 def _edge_points(mesh, t, edges=slice(None)):
-    """Physical points of reference parameters ``t`` on ``edges``, (ne, len(t), 2).
+    """Physical points of reference parameters ``t`` on ``edges``, (..., len(t), 2).
 
-    All edges by default; each edge's points do not depend on the others.
+    All edges by default, or edge ids of any shape; each edge's points
+    do not depend on the others.
     """
     lo = mesh.vertices[mesh.edges[edges, 0]]
     hi = mesh.vertices[mesh.edges[edges, 1]]
     mid = 0.5 * (lo + hi)
     half = 0.5 * (hi - lo)
-    return mid[:, None, :] + t[None, :, None] * half[:, None, :]
+    return mid[..., None, :] + t[:, None] * half[..., None, :]
 
 
-def _physical_edge_rule(mesh, rule, edges=slice(None)):
-    """Points, weights and reference parameters of ``rule`` on ``edges`` (all by default)."""
+def get_edge_rule(mesh, degree, edges=slice(None)):
+    """Points (..., nq, 2), weights (..., nq), parameters (nq,) of the degree-``degree`` edge rule.
+
+    Mapped for ``edges`` (all, or ids of any shape) on every call, not
+    cached; ``mesh.tri_edges[elements]`` gives those elements' three edges.
+    """
+    rule = edge_quadrature(degree)
     t = rule.points
-    w = rule.weights[None, :] * (0.5 * mesh.edge_lengths[edges])[:, None]
+    w = rule.weights * (0.5 * mesh.edge_lengths[edges])[..., None]
     return _edge_points(mesh, t, edges), w, t
 
 
-# -- memoized per-mesh accessors -----------------------------------------
+def edge_basis(mesh, degree, t, edges=slice(None)):
+    """Orthonormal Legendre bases of ``P_degree`` at ``t`` on ``edges``, (..., len(t), dim).
 
-@_per_mesh
-def get_tri_basis(mesh, degree):
-    return TriangleBasis(mesh, degree)
-
-
-@_per_mesh
-def get_edge_basis(mesh, degree):
-    return EdgeBasis(mesh, degree)
-
-
-@_per_mesh
-def get_edge_rule(mesh, degree):
-    """Physical points/weights and reference parameters on all edges."""
-    return _physical_edge_rule(mesh, edge_quadrature(degree))
+    ``edges`` as in :func:`get_edge_rule`; computed on every call.  ``t``
+    runs over [-1, 1] from the lower-id to the higher-id endpoint (the
+    global edge orientation), so both elements of an edge see one basis.
+    """
+    P = np.polynomial.legendre.legvander(np.asarray(t, dtype=float), degree)
+    n = 2.0 * np.arange(degree + 1) + 1.0
+    return P * np.sqrt(n / mesh.edge_lengths[edges][..., None])[..., None, :]
 
 
 # -- projections ----------------------------------------------------------
@@ -483,10 +468,9 @@ def project_edge(f, degree, mesh, quad_degree=None):
     gradient).  Returns coefficients shaped (ne, dim) or (ne, 2, dim).
     """
     qd = quad_degree if quad_degree is not None else max(2 * degree + 2, DATA_DEGREE_DEFAULT)
-    basis = get_edge_basis(mesh, degree)
     pts, w, t = get_edge_rule(mesh, qd)
     vals = _finite(f(pts[..., 0], pts[..., 1]))
-    X = basis.eval_ref(t)
+    X = edge_basis(mesh, degree, t)
     if vals.shape == pts[..., 0].shape:
         return np.einsum("eqn,eq,eq->en", X, vals, w, optimize=True)
     if vals.shape == (2,) + pts[..., 0].shape:
@@ -505,6 +489,5 @@ def eval_element_poly(mesh, degree, coeffs, pts, dx=0, dy=0, elements=slice(None
 
 def eval_edge_poly(mesh, degree, coeffs, t):
     """Evaluate per-edge polynomials at reference parameters ``t``."""
-    basis = get_edge_basis(mesh, degree)
-    X = basis.eval_ref(t)
+    X = edge_basis(mesh, degree, t)
     return np.einsum("eqn,e...n->e...q", X, coeffs, optimize=True)

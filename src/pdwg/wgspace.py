@@ -40,7 +40,7 @@ from .polyquad import (
     GEOMETRY_TRI_DEGREE,
     _finite,
     _for_chunks,
-    get_edge_basis,
+    edge_basis,
     get_edge_rule,
     get_element_rule,
     get_tri_basis,
@@ -145,6 +145,14 @@ class LocalLayout:
         return slice(start, start + self.ng)
 
 
+def _blocks(base, owners, width):
+    """The ``width`` consecutive ids ``base + o * width + i`` of each owner ``o``.
+
+    ``owners`` may have any shape; the ids are ``owners.shape + (width,)``.
+    """
+    return base + owners[..., None] * width + np.arange(width)
+
+
 @dataclass(frozen=True, eq=False)
 class LagrangeNodes:
     """Principal-lattice Lagrange nodes of degree k over a mesh.
@@ -167,7 +175,6 @@ def lagrange_nodes(mesh, k):
     """Construct shared Lagrange nodes of degree ``k`` on a mesh."""
     nv, ne, nt = mesh.n_vertices, mesh.n_edges, mesh.n_triangles
     per_edge = k - 1
-    n_int = (k - 1) * (k - 2) // 2
     lo = mesh.vertices[mesh.edges[:, 0]]
     hi = mesh.vertices[mesh.edges[:, 1]]
     frac = (np.arange(1, k) / k)[None, :, None]
@@ -176,36 +183,29 @@ def lagrange_nodes(mesh, k):
     corners = mesh.corners
     # Lattice interior points (i, j >= 1, i + j <= k - 1) in fixed order.
     int_list = sorted((i, j) for i in range(1, k) for j in range(1, k - i))
-    assert len(int_list) == n_int
-    if n_int:
-        bary = np.array(int_list, dtype=float) / k
-        int_coords = (
-            corners[:, None, 0, :]
-            + bary[None, :, 0, None] * (corners[:, 1] - corners[:, 0])[:, None, :]
-            + bary[None, :, 1, None] * (corners[:, 2] - corners[:, 0])[:, None, :]
-        )
-    else:
-        int_coords = np.zeros((nt, 0, 2))
+    n_int = len(int_list)
+    bary = np.array(int_list, dtype=float).reshape(-1, 2) / k
+    int_coords = (
+        corners[:, None, 0, :]
+        + bary[None, :, 0, None] * (corners[:, 1] - corners[:, 0])[:, None, :]
+        + bary[None, :, 1, None] * (corners[:, 2] - corners[:, 0])[:, None, :]
+    )
 
     coords = np.vstack(
         [mesh.vertices, edge_coords.reshape(-1, 2), int_coords.reshape(-1, 2)]
     )
     n_nodes = nv + ne * per_edge + nt * n_int
 
-    blocks = [mesh.triangles]
-    for ledge in range(3):
-        g = mesh.tri_edges[:, ledge]
-        blocks.append(nv + g[:, None] * per_edge + np.arange(per_edge)[None, :])
-    if n_int:
-        ids = nv + ne * per_edge + np.arange(nt)[:, None] * n_int + np.arange(n_int)[None, :]
-        blocks.append(ids)
+    blocks = [
+        mesh.triangles,
+        _blocks(nv, mesh.tri_edges, per_edge).reshape(nt, -1),
+        _blocks(nv + ne * per_edge, np.arange(nt), n_int),
+    ]
     element_nodes = np.concatenate(blocks, axis=1).astype(np.int64)
 
     bmask = np.zeros(n_nodes, dtype=bool)
     bmask[: nv][mesh.boundary_vertices] = True
-    bedges = mesh.boundary_edges
-    ids = nv + bedges[:, None] * per_edge + np.arange(per_edge)[None, :]
-    bmask[ids.ravel()] = True
+    bmask[_blocks(nv, mesh.boundary_edges, per_edge).ravel()] = True
     return LagrangeNodes(
         coords=coords,
         element_nodes=element_nodes,
@@ -307,28 +307,18 @@ def build_dof_map(mesh, config):
     if config.c0_type:
         nodes = lagrange_nodes(mesh, k)
         vg_base = nodes.n_nodes
-        v0_cols = nodes.element_nodes
+        cols = [nodes.element_nodes]
         constrained = nodes.boundary_nodes
     else:
         nodes = None
         n0 = space_dim(k)
         vb_base = nt * n0
         vg_base = vb_base + ne * (k + 1)
-        v0_cols = np.arange(vb_base, dtype=np.int64).reshape(nt, n0)
+        cols = [np.arange(vb_base, dtype=np.int64).reshape(nt, n0),
+                _blocks(vb_base, mesh.tri_edges, k + 1).reshape(nt, -1)]
         # Ascending because boundary_edges is; apply_dirichlet relies on it.
-        bedges = mesh.boundary_edges
-        constrained = (
-            vb_base + bedges[:, None] * (k + 1) + np.arange(k + 1)[None, :]
-        ).ravel()
-
-    cols = [v0_cols]
-    if not config.c0_type:
-        for ledge in range(3):
-            g = mesh.tri_edges[:, ledge]
-            cols.append(vb_base + g[:, None] * (k + 1) + np.arange(k + 1)[None, :])
-    for ledge in range(3):
-        g = mesh.tri_edges[:, ledge]
-        cols.append(vg_base + g[:, None] * ng + np.arange(ng)[None, :])
+        constrained = _blocks(vb_base, mesh.boundary_edges, k + 1).ravel()
+    cols.append(_blocks(vg_base, mesh.tri_edges, ng).reshape(nt, -1))
     return DofMap(
         config=config,
         n_primal=vg_base + ne * ng,
@@ -350,11 +340,11 @@ def _element_edge_traces(mesh, config, elements=slice(None)):
     ``Xb`` is None in the C0 variant, which has no ``vb`` block.
     """
     k = config.k
-    epts, ew, t = get_edge_rule(mesh, GEOMETRY_EDGE_DEGREE(k))
     g = mesh.tri_edges[elements]
-    Xg = get_edge_basis(mesh, k - 1).eval_ref(t, g)
-    Xb = None if config.c0_type else get_edge_basis(mesh, k).eval_ref(t, g)
-    return epts[g], ew[g], Xg, Xb
+    pe, we, t = get_edge_rule(mesh, GEOMETRY_EDGE_DEGREE(k), g)
+    Xg = edge_basis(mesh, k - 1, t, g)
+    Xb = None if config.c0_type else edge_basis(mesh, k, t, g)
+    return pe, we, Xg, Xb
 
 
 def weak_hessian_local(mesh, config, elements=slice(None)):

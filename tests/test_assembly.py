@@ -27,7 +27,7 @@ from pdwg.mesh import DomainSpec, build_initial_mesh, refine_uniform
 from pdwg.polyquad import (
     _GRAM_CHUNK,
     GEOMETRY_TRI_DEGREE,
-    get_edge_basis,
+    edge_basis,
     get_edge_rule,
     get_element_rule,
     get_tri_basis,
@@ -313,9 +313,7 @@ def test_coupled_pairs_hold_every_nonzero_of_the_local_blocks(unit_meshes, k, c0
     # other entry of the h-weighted local blocks must be an exact zero.
     mesh = unit_meshes[1]
     dm = build_dof_map(mesh, SpaceConfig(k=k, c0_type=c0))
-    jump0, jump1 = stabilizer_local_parts(mesh, dm)
-    h = mesh.h_t[:, None, None]
-    local = jump1 / h if jump0 is None else jump0 / h**3 + jump1 / h
+    local = stabilizer_local_parts(mesh, dm)
     nloc = dm.layout.nloc
     mask = np.zeros((nloc, nloc), dtype=bool)
     mask[_coupled_pairs(dm.layout)] = True
@@ -570,7 +568,7 @@ def test_dirichlet_maps_its_edge_rule_on_boundary_edges_only():
     pts, w, t = get_edge_rule(mesh, 20)
     b = mesh.boundary_edges
     gvals = problem.g(pts[b][..., 0], pts[b][..., 1])
-    X = get_edge_basis(mesh, 2).eval_ref(t, b)
+    X = edge_basis(mesh, 2, t, b)
     want = np.einsum("eqn,eq,eq->en", X, gvals, w[b], optimize=True).ravel()
     assert_bitwise_equal(values, want)
 
@@ -596,7 +594,6 @@ def test_mesh_freed_without_cycle_collection():
     try:
         mesh = refine_uniform(build_initial_mesh(DomainSpec("unit_square")))
         get_tri_basis(mesh, 2)
-        get_edge_basis(mesh, 1)
         system = build_saddle(mesh, SpaceConfig(k=2), builtin("p1"))
         alive = weakref.ref(mesh)
         del mesh, system
@@ -685,3 +682,8 @@ def test_mesh_cache_holds_no_quadrature_resolution_array():
              for key, value in mesh._cache.items()}
     assert sizes and max(sizes.values()) > 0
     assert {key: size for key, size in sizes.items() if size > 64 * nt} == {}
+    # Besides per-entity geometry, only what is costly to rebuild is kept;
+    # edge rules and edge bases are computed per call, as element rules are.
+    kinds = {key[0] for key in mesh._cache if not key[0].startswith("Mesh.")}
+    assert kinds <= {"outward_normals", "get_tri_basis", "lagrange_nodes",
+                     "nodal_to_modal", "build_dof_map"}

@@ -122,6 +122,14 @@ def test_bad_triangles_rejected():
         Mesh(v, np.array([[0, 2, 1]]), np.zeros(1, dtype=int))
     with pytest.raises(ValueError, match="repeated"):
         Mesh(v, np.array([[0, 1, 1]]), np.zeros(1, dtype=int))
+    # Misshapen arrays, once silently truncated or broadcast.
+    with pytest.raises(ValueError, match=r"triangles must have shape \(1, 3\), got \(1, 4\)"):
+        Mesh(v, np.array([[0, 1, 2, 0]]), np.zeros(1, dtype=int))
+    with pytest.raises(ValueError, match=r"vertices must have shape \(3, 2\), got \(3, 3\)"):
+        Mesh(np.column_stack([v, np.zeros(3)]), np.array([[0, 1, 2]]), np.zeros(1, dtype=int))
+    v4 = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
+    with pytest.raises(ValueError, match=r"region_tags must have shape \(2,\), got \(1,\)"):
+        Mesh(v4, np.array([[0, 1, 2], [0, 2, 3]]), np.zeros(1, dtype=int))
 
 
 def test_hand_built_mesh_is_complete():

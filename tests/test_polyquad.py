@@ -14,7 +14,7 @@ from pdwg.polyquad import (
     edge_quadrature,
     eval_edge_poly,
     eval_element_poly,
-    get_edge_basis,
+    edge_basis,
     get_edge_rule,
     get_element_rule,
     get_tri_basis,
@@ -64,6 +64,12 @@ def test_triangle_rule_degree_validation():
         triangle_quadrature(-1)
     with pytest.raises(ValueError):
         triangle_quadrature(MAX_EXACT_DEGREE + 1)
+    # A non-integral degree is an error, not a silently truncated rule.
+    for rule in (triangle_quadrature, edge_quadrature):
+        for bad in (2.5, 3.0, "3"):
+            with pytest.raises(ValueError, match=repr(bad).replace(".", r"\.")):
+                rule(bad)
+        assert_bitwise_equal(rule(np.int64(3)).weights, rule(3).weights)
 
 
 # -- edge rules ------------------------------------------------------------
@@ -107,12 +113,9 @@ def test_element_basis_orthonormal(unit_meshes):
 
 def test_edge_basis_orthonormal(unit_meshes):
     mesh = unit_meshes[1]
-    from pdwg.polyquad import get_edge_basis
-
     for deg in (0, 1, 2):
-        basis = get_edge_basis(mesh, deg)
         pts, w, t = get_edge_rule(mesh, 2 * deg + 2)
-        X = basis.eval_ref(t)
+        X = edge_basis(mesh, deg, t)
         gram = np.einsum("eqm,eqn,eq->emn", X, X, w)
         eye = np.broadcast_to(np.eye(deg + 1), gram.shape)
         assert np.allclose(gram, eye, atol=1e-12)
@@ -270,11 +273,18 @@ def test_tri_basis_eval_on_element_slices_is_bitwise_the_whole_mesh(unit_meshes)
 
 
 def test_edge_basis_on_chosen_edges(unit_meshes):
+    # Edge rules and bases are mapped per call on the edges asked: each
+    # edge's rows are bitwise those of the whole mesh, for any id shape.
     mesh = unit_meshes[2]
-    _, _, t = get_edge_rule(mesh, 6)
-    basis = get_edge_basis(mesh, 2)
-    for edges in (mesh.tri_edges, mesh.tri_edges[5:9], np.flatnonzero(mesh.is_boundary_edge)):
-        np.testing.assert_array_equal(basis.eval_ref(t, edges), basis.eval_ref(t)[edges])
+    for d in (6, 20):
+        pts, w, t = get_edge_rule(mesh, d)
+        X = edge_basis(mesh, 2, t)
+        for edges in (mesh.tri_edges, mesh.tri_edges[5:9], mesh.boundary_edges):
+            got_pts, got_w, got_t = get_edge_rule(mesh, d, edges)
+            assert_bitwise_equal(got_pts, pts[edges])
+            assert_bitwise_equal(got_w, w[edges])
+            assert_bitwise_equal(got_t, t)
+            assert_bitwise_equal(edge_basis(mesh, 2, t, edges), X[edges])
 
 
 # -- chunk invariance ----------------------------------------------------------

@@ -8,7 +8,7 @@ from pdwg.mesh import Mesh, build_initial_mesh, DomainSpec
 from pdwg.polyquad import (
     GEOMETRY_EDGE_DEGREE,
     _chunks,
-    get_edge_basis,
+    edge_basis,
     get_edge_rule,
     get_element_rule,
     get_tri_basis,
@@ -257,7 +257,7 @@ def c0_to_general_local(mesh, primal, config_c0):
 
     tb = get_tri_basis(mesh, k)
     epts, ew, t = get_edge_rule(mesh, GEOMETRY_EDGE_DEGREE(k))
-    Xb = get_edge_basis(mesh, k).eval_ref(t)
+    Xb = edge_basis(mesh, k, t)
     g = mesh.tri_edges
     vals = np.einsum("etqn,en->etq", tb.eval(epts[g]), u0, optimize=True)
     trace = np.einsum("etq,etqm,etq->etm", vals, Xb[g], ew[g], optimize=True)
@@ -324,10 +324,7 @@ def bound_constants(mesh, config):
     """
     dm = build_dof_map(mesh, config)
     hess = weak_hessian_local(mesh, config)
-    jump0, jump1 = stabilizer_local_parts(mesh, dm)
-    S_loc = jump1 / mesh.h_t[:, None, None]
-    if jump0 is not None:  # None in the C0 variant
-        S_loc += jump0 / mesh.h_t[:, None, None] ** 3
+    S_loc = stabilizer_local_parts(mesh, dm)
     pts, w = get_element_rule(mesh, 6)
     tb = get_tri_basis(mesh, config.k)
     out = {}
@@ -368,15 +365,13 @@ def test_weak_hessian_bound_constant_under_refinement(rng):
     # Random triplets respect the sharp constant on the finest level.
     dm = build_dof_map(mesh, config)
     hess = weak_hessian_local(mesh, config)
-    jump0, jump1 = stabilizer_local_parts(mesh, dm)
+    S_loc = stabilizer_local_parts(mesh, dm)
     pts, w = get_element_rule(mesh, 6)
     tb = get_tri_basis(mesh, config.k)
     C = constants[-1]
     for _ in range(100):
         loc = rng.standard_normal((mesh.n_triangles, dm.layout.nloc))
-        sT = np.einsum("elm,el,em->e", jump1, loc, loc) / mesh.h_t
-        if jump0 is not None:
-            sT += np.einsum("elm,el,em->e", jump0, loc, loc) / mesh.h_t**3
+        sT = np.einsum("elm,el,em->e", S_loc, loc, loc)
         u0 = loc[:, dm.layout.v0]
         for i in (1, 2):
             for j in (1, 2):
