@@ -40,6 +40,7 @@ from .polyquad import (
     _edge_points,
     _finite,
     _for_chunks,
+    edge_basis,
     eval_element_poly,
     get_element_rule,
     get_tri_basis,
@@ -107,25 +108,16 @@ def edge_gradient_interpolant(grad_u, mesh, degree=1):
 
     Interpolates each gradient component at ``degree + 1`` equispaced
     parameters per edge (endpoints included), and returns coefficients
-    (ne, 2, degree + 1) in the normalized Legendre edge bases.  For
-    ``degree = 1`` this is plain endpoint interpolation.
+    (ne, 2, degree + 1) in the orthonormal edge bases of
+    :func:`~pdwg.polyquad.edge_basis`, solving each edge's interpolation
+    system in that basis.  For ``degree = 1`` this is plain endpoint
+    interpolation.
     """
     t_nodes = np.linspace(-1.0, 1.0, degree + 1)
     pts = _edge_points(mesh, t_nodes)
     vals = _finite(grad_u(pts[..., 0], pts[..., 1]), "gradient")  # (2, ne, deg+1)
-    vander = np.polynomial.legendre.legvander(t_nodes, degree)
-    plain = np.einsum("ij,cej->cei", np.linalg.inv(vander), vals, optimize=True)
-    scale = np.sqrt(
-        mesh.edge_lengths[:, None] / (2.0 * np.arange(degree + 1) + 1.0)[None, :]
-    )
-    return np.transpose(plain, (1, 0, 2)) * scale[:, None, :]
-
-
-def _edge_weights(mesh):
-    """Per-edge weight ``sum of h_T over adjacent elements``."""
-    w = np.zeros(mesh.n_edges)
-    np.add.at(w, mesh.tri_edges.ravel(), np.repeat(mesh.h_t, 3))
-    return w
+    coef = np.linalg.solve(edge_basis(mesh, degree, t_nodes), np.transpose(vals, (1, 2, 0)))
+    return np.transpose(coef, (0, 2, 1))
 
 
 def error_norms(sol, problem):
@@ -159,7 +151,8 @@ def error_norms(sol, problem):
     _for_chunks(nt, chunk)
     e0_true = float(np.sqrt(np.sum(sq)))
 
-    wsum = _edge_weights(mesh)
+    h, tris = mesh.h_t, mesh.edge_tris  # edge weight: sum of h_T over its elements
+    wsum = h[tris[:, 0]] + np.where(mesh.is_boundary_edge, 0.0, h[tris[:, 1]])
     ig = edge_gradient_interpolant(problem.exact_grad_u, mesh, k - 1)
     dg = sol.ug - ig
     eg = float(np.sqrt(np.sum(wsum * np.sum(dg**2, axis=(1, 2)))))

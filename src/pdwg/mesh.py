@@ -174,6 +174,9 @@ class Mesh:
         self.triangles = np.ascontiguousarray(self.triangles, dtype=np.int64)
         self.region_tags = np.ascontiguousarray(self.region_tags, dtype=np.int64)
         _validate_triangles(self.vertices, self.triangles, self.region_tags)
+        if np.any(self.areas <= 0.0):
+            bad = int(np.flatnonzero(self.areas <= 0.0)[0])
+            raise ValueError(f"triangle {bad} is not CCW (signed area {self.areas[bad]:g})")
 
         nt = self.triangles.shape[0]
         pairs = self.triangles[:, [[0, 1], [1, 2], [2, 0]]].reshape(-1, 2)
@@ -225,6 +228,7 @@ class Mesh:
     @property
     @_per_mesh
     def areas(self):
+        """Signed area of each triangle, positive for CCW ones."""
         p = self.corners
         d1 = p[:, 1] - p[:, 0]
         d2 = p[:, 2] - p[:, 0]
@@ -278,13 +282,6 @@ def _validate_triangles(vertices, triangles, region_tags):
     t = np.sort(triangles, axis=1)
     if np.any(t[:, 0] == t[:, 1]) or np.any(t[:, 1] == t[:, 2]):
         raise ValueError("triangle with repeated vertex ids")
-    p = vertices[triangles]
-    d1 = p[:, 1] - p[:, 0]
-    d2 = p[:, 2] - p[:, 0]
-    cross = d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0]
-    if np.any(cross <= 0.0):
-        bad = int(np.flatnonzero(cross <= 0.0)[0])
-        raise ValueError(f"triangle {bad} is not CCW (signed area {0.5 * cross[bad]:g})")
 
 
 def build_initial_mesh(domain):

@@ -16,6 +16,10 @@ Edge bases are Legendre polynomials in the arclength parameter of the
 edge, normalized by edge length, hence orthonormal analytically.  Rules and
 edge bases are computed per call for the elements or edges asked.
 
+Other modules call, never restate, the conventions owned here: the
+reference rules (one per degree), the reference triangle's affine map
+(:func:`_affine_map`) and the edge bases (:func:`edge_basis`).
+
 Work at quadrature resolution (basis values at element quadrature
 points, mapped rules, function values) runs over one chunk of
 ``_GRAM_CHUNK`` consecutive elements at a time (see :func:`_chunks`), so
@@ -179,26 +183,32 @@ class QuadratureRule:
     exact_degree: int
 
 
-def _check_degree(exact_degree):
-    try:
-        d = operator.index(exact_degree)
-    except TypeError:
-        raise ValueError(f"exact_degree must be an integer, got {exact_degree!r}") from None
-    if d < 0 or d > MAX_EXACT_DEGREE:
-        raise ValueError(
-            f"exact_degree must be in [0, {MAX_EXACT_DEGREE}], got {exact_degree}"
-        )
-    return d
+def _one_rule_per_degree(build):
+    """Validate ``exact_degree``, an integer in [0, MAX_EXACT_DEGREE]; one rule per ``int``."""
+    cached = functools.lru_cache(maxsize=None)(build)
+
+    @functools.wraps(build)
+    def rule(exact_degree):
+        try:
+            d = operator.index(exact_degree)
+        except TypeError:
+            raise ValueError(f"exact_degree must be an integer, got {exact_degree!r}") from None
+        if not 0 <= d <= MAX_EXACT_DEGREE:
+            raise ValueError(
+                f"exact_degree must be in [0, {MAX_EXACT_DEGREE}], got {exact_degree}"
+            )
+        return cached(d)
+
+    return rule
 
 
-@functools.lru_cache(maxsize=None)
+@_one_rule_per_degree
 def triangle_quadrature(exact_degree):
     """Positive-weight interior rule on the reference triangle.
 
     Exact for all polynomials of total degree ``exact_degree``.
     """
-    d = _check_degree(exact_degree)
-    n = max(1, (d + 2) // 2)  # ceil((d + 1) / 2)
+    n = max(1, (exact_degree + 2) // 2)  # ceil((exact_degree + 1) / 2)
     tj, wj = roots_jacobi(n, 1.0, 0.0)  # weight (1 - t) on [-1, 1]
     tl, wl = np.polynomial.legendre.leggauss(n)
     u = 0.5 * (tj + 1.0)
@@ -211,18 +221,17 @@ def triangle_quadrature(exact_degree):
     pts = np.column_stack([x, y])
     pts.setflags(write=False)
     w.setflags(write=False)
-    return QuadratureRule(points=pts, weights=w, exact_degree=d)
+    return QuadratureRule(points=pts, weights=w, exact_degree=exact_degree)
 
 
-@functools.lru_cache(maxsize=None)
+@_one_rule_per_degree
 def edge_quadrature(exact_degree):
     """Gauss-Legendre rule on [-1, 1]; endpoints are never nodes."""
-    d = _check_degree(exact_degree)
-    n = max(1, (d + 2) // 2)
+    n = max(1, (exact_degree + 2) // 2)
     t, w = np.polynomial.legendre.leggauss(n)
     t.setflags(write=False)
     w.setflags(write=False)
-    return QuadratureRule(points=t, weights=w, exact_degree=d)
+    return QuadratureRule(points=t, weights=w, exact_degree=exact_degree)
 
 
 def monomial_exponents(degree):
@@ -372,15 +381,21 @@ def get_element_rule(mesh, degree, elements=slice(None)):
     callers ask for one chunk at a time.
     """
     rule = triangle_quadrature(degree)
-    p = mesh.corners[elements]
-    x, y = rule.points[:, 0], rule.points[:, 1]
-    pts = (
+    w = rule.weights[None, :] * (2.0 * mesh.areas[elements])[:, None]
+    return _affine_map(mesh.corners[elements], rule.points), w
+
+
+def _affine_map(p, ref):
+    """Images (ne, n, 2) of reference points ``ref`` (n, 2) on corners ``p`` (ne, 3, 2).
+
+    ``(x, y)`` maps to ``p0 + x (p1 - p0) + y (p2 - p0)``.
+    """
+    x, y = ref[:, 0], ref[:, 1]
+    return (
         p[:, None, 0, :]
         + x[None, :, None] * (p[:, 1, :] - p[:, 0, :])[:, None, :]
         + y[None, :, None] * (p[:, 2, :] - p[:, 0, :])[:, None, :]
     )
-    w = rule.weights[None, :] * (2.0 * mesh.areas[elements])[:, None]
-    return pts, w
 
 
 def _edge_points(mesh, t, edges=slice(None)):

@@ -38,6 +38,7 @@ from .mesh import _per_mesh, outward_normals
 from .polyquad import (
     GEOMETRY_EDGE_DEGREE,
     GEOMETRY_TRI_DEGREE,
+    _affine_map,
     _finite,
     _for_chunks,
     edge_basis,
@@ -180,16 +181,11 @@ def lagrange_nodes(mesh, k):
     frac = (np.arange(1, k) / k)[None, :, None]
     edge_coords = lo[:, None, :] + frac * (hi - lo)[:, None, :]
 
-    corners = mesh.corners
     # Lattice interior points (i, j >= 1, i + j <= k - 1) in fixed order.
     int_list = sorted((i, j) for i in range(1, k) for j in range(1, k - i))
     n_int = len(int_list)
     bary = np.array(int_list, dtype=float).reshape(-1, 2) / k
-    int_coords = (
-        corners[:, None, 0, :]
-        + bary[None, :, 0, None] * (corners[:, 1] - corners[:, 0])[:, None, :]
-        + bary[None, :, 1, None] * (corners[:, 2] - corners[:, 0])[:, None, :]
-    )
+    int_coords = _affine_map(mesh.corners, bary)
 
     coords = np.vstack(
         [mesh.vertices, edge_coords.reshape(-1, 2), int_coords.reshape(-1, 2)]
@@ -300,24 +296,23 @@ class DofMap:
 @_per_mesh
 def build_dof_map(mesh, config):
     """Build the :class:`DofMap` of a mesh/config pair (cached on the mesh)."""
-    k = config.k
+    layout = LocalLayout(config.k, config.c0_type)
+    n0, nb, ng = layout.n0, layout.nb, 2 * layout.ng  # ng: per-edge gradient block
     nt, ne = mesh.n_triangles, mesh.n_edges
-    ng = 2 * k  # per-edge gradient block
 
     if config.c0_type:
-        nodes = lagrange_nodes(mesh, k)
+        nodes = lagrange_nodes(mesh, config.k)
         vg_base = nodes.n_nodes
         cols = [nodes.element_nodes]
         constrained = nodes.boundary_nodes
     else:
         nodes = None
-        n0 = space_dim(k)
         vb_base = nt * n0
-        vg_base = vb_base + ne * (k + 1)
+        vg_base = vb_base + ne * nb
         cols = [np.arange(vb_base, dtype=np.int64).reshape(nt, n0),
-                _blocks(vb_base, mesh.tri_edges, k + 1).reshape(nt, -1)]
+                _blocks(vb_base, mesh.tri_edges, nb).reshape(nt, -1)]
         # Ascending because boundary_edges is; apply_dirichlet relies on it.
-        constrained = _blocks(vb_base, mesh.boundary_edges, k + 1).ravel()
+        constrained = _blocks(vb_base, mesh.boundary_edges, nb).ravel()
     cols.append(_blocks(vg_base, mesh.tri_edges, ng).reshape(nt, -1))
     return DofMap(
         config=config,
@@ -358,11 +353,9 @@ def weak_hessian_local(mesh, config, elements=slice(None)):
     """
     k = config.k
     layout = build_dof_map(mesh, config).layout
-    sdeg = config.mult_degree
-    ns = space_dim(sdeg)
 
     tb = get_tri_basis(mesh, k)
-    sb = get_tri_basis(mesh, sdeg)
+    sb = get_tri_basis(mesh, config.mult_degree)
     pts, w = get_element_rule(mesh, GEOMETRY_TRI_DEGREE(k), elements)
     pe, we, Xg, Xb = _element_edge_traces(mesh, config, elements)
     nrm = outward_normals(mesh)[elements]
@@ -392,7 +385,7 @@ def weak_hessian_local(mesh, config, elements=slice(None)):
     matrices = {}
     for i in (1, 2):
         for j in (1, 2):
-            H = np.zeros((ne, ns, layout.nloc))
+            H = np.zeros((ne, sb.dim, layout.nloc))
             if config.c0_type:
                 A = -np.einsum(
                     "eqm,eql,eq->eml", VSd_vol[j], V0d[i], w, optimize=True

@@ -69,7 +69,8 @@ def test_triangle_rule_degree_validation():
         for bad in (2.5, 3.0, "3"):
             with pytest.raises(ValueError, match=repr(bad).replace(".", r"\.")):
                 rule(bad)
-        assert_bitwise_equal(rule(np.int64(3)).weights, rule(3).weights)
+        # One cached rule per degree, whatever integer type names it.
+        assert rule(np.int64(3)) is rule(3)
 
 
 # -- edge rules ------------------------------------------------------------
