@@ -12,8 +12,6 @@ meshes and reports, per level:
   interpolant of the exact gradient, in the edge-weighted norm
   ``(sum_T h_T int_{bd T} |.|^2)^{1/2}`` (interior edges contribute once
   per adjacent element);
-* ``eb`` (general variant only): same weighted norm for the value trace
-  field against the edge projection of the exact solution;
 * ``gamma``: L2 norm of the dual multiplier field (the multiplier of
   the exact solution is zero, so this is itself an error);
 * ``s_energy``: stabilizer energy of the discrete solution — a measure
@@ -44,17 +42,16 @@ from .polyquad import (
     eval_element_poly,
     get_element_rule,
     get_tri_basis,
-    project_edge,
     triangle_quadrature,
 )
 from .problems import cordes_check, cordes_samples
 from .solver import solve
 from .wgspace import (
     SpaceConfig,
+    _modal_coefficients,
     apply_weak_hessian,
     build_dof_map,
     lagrange_nodes,
-    nodal_to_modal,
     weak_hessian_local,
 )
 
@@ -88,22 +85,20 @@ class LevelErrors:
     eg: float
     gamma: float
     s_energy: float
-    eb: float | None = None
 
     @property
     def inv_h(self):
         return 1.0 / self.h_max
 
 
-def lagrange_interpolant(u, mesh, k=2):
+def lagrange_interpolant(u, mesh, k):
     """Orthonormal coefficients of the degree-``k`` Lagrange interpolant."""
     nodes = lagrange_nodes(mesh, k)
     xy = nodes.coords[nodes.element_nodes]
-    vals = _finite(u(xy[..., 0], xy[..., 1]))
-    return np.einsum("emn,en->em", nodal_to_modal(mesh, k), vals, optimize=True)
+    return _modal_coefficients(mesh, k, _finite(u(xy[..., 0], xy[..., 1])))
 
 
-def edge_gradient_interpolant(grad_u, mesh, degree=1):
+def edge_gradient_interpolant(grad_u, mesh, degree):
     """Edge-wise polynomial interpolant of a gradient field.
 
     Interpolates each gradient component at ``degree + 1`` equispaced
@@ -124,9 +119,9 @@ def error_norms(sol, problem):
     """All error norms of one solution against the problem's exact fields.
 
     Mesh, DOF map and stabilizer are those of ``sol.system``.
-    ``e0_true`` and the ``eb`` projection integrate at degree
-    ``max(problem.quad_degree, GEOMETRY_TRI_DEGREE(k))``; ``e0_true``
-    evaluates ``exact_u`` one chunk of elements at a time.
+    ``e0_true`` integrates at degree ``max(problem.quad_degree,
+    GEOMETRY_TRI_DEGREE(k))`` and evaluates ``exact_u`` one chunk of
+    elements at a time.
     """
     if problem.exact_u is None or problem.exact_grad_u is None:
         raise ValueError("problem has no exact solution to compare against")
@@ -157,12 +152,6 @@ def error_norms(sol, problem):
     dg = sol.ug - ig
     eg = float(np.sqrt(np.sum(wsum * np.sum(dg**2, axis=(1, 2)))))
 
-    eb = None
-    if not dofmap.config.c0_type:
-        qb = project_edge(problem.exact_u, k, mesh, qd)
-        db = sol.ub - qb
-        eb = float(np.sqrt(np.sum(wsum * np.sum(db**2, axis=1))))
-
     gamma = float(np.linalg.norm(sol.lam_vec))
     s_energy = float(sol.primal @ (system.S @ sol.primal))
 
@@ -176,7 +165,6 @@ def error_norms(sol, problem):
         eg=eg,
         gamma=gamma,
         s_energy=s_energy,
-        eb=eb,
     )
 
 
@@ -254,7 +242,6 @@ class ConvergenceTable:
     """Per-level error norms and observed orders of one study."""
 
     problem_name: str
-    config: SpaceConfig
     rows: tuple
 
     def order_rows(self):
@@ -378,4 +365,4 @@ def run_study(problem, config=None, levels=6, on_level=None):
             on_level(sol, row)
         # Free this level's system and solution before the next is built.
         del sol
-    return ConvergenceTable(problem_name=problem.name, config=config, rows=tuple(rows))
+    return ConvergenceTable(problem_name=problem.name, rows=tuple(rows))

@@ -31,7 +31,6 @@ import scipy.sparse as sp
 
 from .mesh import _write_text
 from .polyquad import (
-    DATA_DEGREE_DEFAULT,
     GEOMETRY_EDGE_DEGREE,
     GEOMETRY_TRI_DEGREE,
     _finite,
@@ -44,8 +43,8 @@ from .polyquad import (
 )
 from .wgspace import (
     _element_edge_traces,
+    _v0_columns,
     build_dof_map,
-    nodal_to_modal,
     weak_hessian_local,
 )
 
@@ -218,35 +217,35 @@ def _summed_csr(data, indices, indptr, shape, drop_zeros=False):
     return M
 
 
-def _mismatches(layout):
+def _mismatches(config):
     """The boundary mismatches of the stabilizer and the columns they read.
 
     Yields ``(p, (dx, dy), cols)``: on local edge ``ledge`` the mismatch
     is ``d^(dx, dy) v0`` minus the trace block ``cols[ledge]``, weighted
     ``h_T**-p``: ``d_c v0 - vg_c`` for c = x, y (p = 1), then
-    ``v0 - vb`` (p = 3) outside the C0 variant.
+    ``v0 - vb`` (p = 3) where the space has a value trace.
     """
     for comp, d in enumerate(((1, 0), (0, 1))):
-        yield 1, d, [layout.vg(ledge, comp) for ledge in range(3)]
-    if not layout.c0_type:
-        yield 3, (0, 0), [layout.vb(ledge) for ledge in range(3)]
+        yield 1, d, [config.vg(ledge, comp) for ledge in range(3)]
+    if config.nb:
+        yield 3, (0, 0), [config.vb(ledge) for ledge in range(3)]
 
 
-def _coupled_pairs(layout):
+def _coupled_pairs(config):
     """Local pairs ``(a, b)`` that some mismatch couples, in row-major order.
 
     A mismatch on one edge reads only ``v0`` and that edge's trace block,
     so every other entry of a local stabilizer block is a structural zero.
     """
-    mask = np.zeros((layout.nloc, layout.nloc), dtype=bool)
-    for _, _, cols in _mismatches(layout):
+    mask = np.zeros((config.nloc, config.nloc), dtype=bool)
+    for _, _, cols in _mismatches(config):
         for trace in cols:
-            support = np.r_[layout.v0, trace]
+            support = np.r_[config.v0, trace]
             mask[np.ix_(support, support)] = True
     return np.nonzero(mask)
 
 
-def _edge_jumps(mesh, dofmap, elements=slice(None)):
+def _edge_jumps(mesh, config, elements=slice(None)):
     """Edge weights and the boundary-mismatch operators of the stabilizer.
 
     Returns ``(we, jumps)`` for ``elements`` (all by default): ``we``
@@ -257,18 +256,14 @@ def _edge_jumps(mesh, dofmap, elements=slice(None)):
     stabilizer.  The operators are built one by one as the caller
     iterates, so the three are never held at once.
     """
-    config = dofmap.config
-    layout = dofmap.layout
     tb = get_tri_basis(mesh, config.k)
     pe, we, Xg, Xb = _element_edge_traces(mesh, config, elements)
-    # The C0 variant's v0 block holds nodal values, not modal coefficients.
-    trans = nodal_to_modal(mesh, config.k)[elements, None] if config.c0_type else None
 
     def jumps():
-        for p, (dx, dy), cols in _mismatches(layout):
-            J = np.zeros(we.shape + (layout.nloc,))
+        for p, (dx, dy), cols in _mismatches(config):
+            J = np.zeros(we.shape + (config.nloc,))
             V = tb.eval(pe, dx=dx, dy=dy, elements=elements)
-            J[:, :, :, layout.v0] = V if trans is None else V @ trans
+            J[:, :, :, config.v0] = _v0_columns(mesh, config, V, elements)
             X = Xg if p == 1 else Xb
             for ledge in range(3):
                 J[:, ledge, :, cols[ledge]] = -X[:, ledge]
@@ -285,7 +280,7 @@ def stabilizer_local_parts(mesh, dofmap, elements=slice(None)):
     Grams of one weight are summed before they are divided by ``h_T**p``.
     :func:`assemble_stabilizer` asks for one chunk of elements at a time.
     """
-    we, jumps = _edge_jumps(mesh, dofmap, elements)
+    we, jumps = _edge_jumps(mesh, dofmap.config, elements)
     h = mesh.h_t[elements, None, None]
     grams = {}
     for p, J in jumps:
@@ -315,10 +310,10 @@ def stabilizer_energy(mesh, dofmap, primal):
     nt = mesh.n_triangles
     h = mesh.h_t[:, None, None]
     nq = edge_quadrature(GEOMETRY_EDGE_DEGREE(dofmap.config.k)).weights.size
-    squares = [np.empty((nt, 3, nq)) for _ in _mismatches(dofmap.layout)]
+    squares = [np.empty((nt, 3, nq)) for _ in _mismatches(dofmap.config)]
 
     def chunk(e):
-        we, jumps = _edge_jumps(mesh, dofmap, e)
+        we, jumps = _edge_jumps(mesh, dofmap.config, e)
         for m, (p, J) in enumerate(jumps):
             jump = np.einsum("etql,el->etq", J, loc[e], optimize=True)
             squares[m][e] = (jump**2 * we) / h[e] ** p
@@ -348,7 +343,7 @@ def assemble_stabilizer(mesh, dofmap):
     unsummed arrays become S's own, shrunk in place.
     """
     nt, n = mesh.n_triangles, dofmap.n_primal
-    a, b = pairs = _coupled_pairs(dofmap.layout)
+    a, b = pairs = _coupled_pairs(dofmap.config)
     indptr, base, within = _slot_map(dofmap.element_primal, pairs, n)
     ids = dofmap.element_primal.astype(indptr.dtype)
     data = np.empty(nt * a.size)
@@ -366,7 +361,7 @@ def assemble_stabilizer(mesh, dofmap):
     return _summed_csr(data, indices, indptr, (n, n), drop_zeros=True)
 
 
-def assemble_constraint(mesh, dofmap, coeff, f, quad_degree=DATA_DEGREE_DEFAULT):
+def assemble_constraint(mesh, dofmap, coeff, f, quad_degree):
     """Constraint block ``B`` and load vector ``F``.
 
     ``B[n, :] v`` equals ``sum_ij (a_ij D_ij(v), sigma_n)_T`` over the
@@ -383,7 +378,7 @@ def assemble_constraint(mesh, dofmap, coeff, f, quad_degree=DATA_DEGREE_DEFAULT)
     """
     config = dofmap.config
     qd = max(quad_degree, GEOMETRY_TRI_DEGREE(config.k))
-    nt, ns, nloc = mesh.n_triangles, dofmap.ns, dofmap.layout.nloc
+    nt, ns, nloc = mesh.n_triangles, config.ns, config.nloc
 
     sb = get_tri_basis(mesh, config.mult_degree)
     region = mesh.region_tags[:, None]
@@ -418,7 +413,7 @@ def assemble_constraint(mesh, dofmap, coeff, f, quad_degree=DATA_DEGREE_DEFAULT)
     return B, F
 
 
-def apply_dirichlet(dofmap, mesh, g, quad_degree=DATA_DEGREE_DEFAULT):
+def apply_dirichlet(dofmap, mesh, g, quad_degree):
     """Strongly-imposed boundary values of the constrained DOFs.
 
     Returns one value per entry of ``dofmap.constrained``.  General

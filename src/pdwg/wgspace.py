@@ -24,7 +24,11 @@ using that vb is the trace of v0)::
 
 The multiplier space per element is either ``P_{k-2}`` or ``P_{k-1}``.
 All operators are dense per-element matrices acting on the element-local
-DOF vector, built for one chunk of elements at a time.
+DOF vector, built for one chunk of elements at a time.  :class:`SpaceConfig`
+is the one description of that vector's layout, and this module alone
+turns the C0 variant's nodal ``v0`` values into orthonormal coefficients
+(:func:`nodal_to_modal`); the other modules read the layout from the
+config and never apply the nodal map.
 """
 
 from __future__ import annotations
@@ -52,7 +56,6 @@ from .polyquad import (
 
 __all__ = [
     "SpaceConfig",
-    "LocalLayout",
     "DofMap",
     "build_dof_map",
     "lagrange_nodes",
@@ -68,7 +71,7 @@ _MULTIPLIER_SPACES = ("pkm2", "pkm1")
 
 @dataclass(frozen=True)
 class SpaceConfig:
-    """Discretization parameters.
+    """Discretization parameters and the layout of the element-local space.
 
     Parameters
     ----------
@@ -78,6 +81,13 @@ class SpaceConfig:
         Element multiplier space ``P_{k-2}`` or ``P_{k-1}``.
     c0_type : bool
         Use the continuous (C0) primal variant.
+
+    The element-local primal DOF vector has ``nloc`` columns.  General
+    variant: ``[v0 | vb edge0 | vb edge1 | vb edge2 | vg edge0 | vg edge1 |
+    vg edge2]`` where each ``vg`` block stores the first component's
+    coefficients then the second's.  C0 variant: the ``vb`` blocks are
+    absent and the ``v0`` block holds Lagrange nodal values.  Each
+    element has ``ns`` multiplier unknowns.
     """
 
     k: int = 2
@@ -101,19 +111,9 @@ class SpaceConfig:
     def mult_degree(self):
         return self.k - 1 if self.multiplier_space == "pkm1" else self.k - 2
 
-
-@dataclass(frozen=True)
-class LocalLayout:
-    """Column layout of the element-local primal DOF vector.
-
-    General variant: ``[v0 | vb edge0 | vb edge1 | vb edge2 | vg edge0 |
-    vg edge1 | vg edge2]`` where each ``vg`` block stores the first
-    component's coefficients then the second's.  C0 variant: the ``vb``
-    blocks are absent and the ``v0`` block holds Lagrange nodal values.
-    """
-
-    k: int
-    c0_type: bool
+    @property
+    def ns(self):
+        return space_dim(self.mult_degree)
 
     @property
     def n0(self):
@@ -223,6 +223,25 @@ def nodal_to_modal(mesh, k):
     return out
 
 
+def _v0_columns(mesh, config, modal, elements):
+    """An operator's ``v0`` columns from its columns ``modal`` on modal ``v0``.
+
+    ``modal`` is (ne, ..., n0) for ``elements``.  The general variant's
+    ``v0`` block holds the orthonormal coefficients, so its columns are
+    ``modal``; the C0 variant's holds Lagrange nodal values, so they are
+    ``modal`` times the elements' :func:`nodal_to_modal` maps.
+    """
+    if not config.c0_type:
+        return modal
+    trans = nodal_to_modal(mesh, config.k)[elements]
+    return modal @ np.expand_dims(trans, tuple(range(1, modal.ndim - 2)))
+
+
+def _modal_coefficients(mesh, k, nodal):
+    """Orthonormal coefficients (nt, n0) of per-element Lagrange nodal values (nt, n0)."""
+    return np.einsum("emn,en->em", nodal_to_modal(mesh, k), nodal, optimize=True)
+
+
 @dataclass(frozen=True, eq=False)
 class DofMap:
     """Global numbering of primal and multiplier unknowns.
@@ -247,23 +266,14 @@ class DofMap:
     nodes: LagrangeNodes | None  # C0 variant only
 
     @property
-    def layout(self):
-        """Column layout of the element-local primal vector (a function of ``config``)."""
-        return LocalLayout(self.config.k, self.config.c0_type)
-
-    @property
-    def ns(self):
-        return space_dim(self.config.mult_degree)
-
-    @property
     def n_mult(self):
-        return self.element_primal.shape[0] * self.ns
+        return self.element_primal.shape[0] * self.config.ns
 
     @property
     def n_v0(self):
         if self.config.c0_type:
             return self.nodes.n_nodes
-        return self.element_primal.shape[0] * self.layout.n0
+        return self.element_primal.shape[0] * self.config.n0
 
     @property
     def vb_base(self):
@@ -275,29 +285,26 @@ class DofMap:
 
     def u0_coefficients(self, primal, mesh):
         """Interior field as per-element orthonormal coefficients."""
-        k = self.config.k
         if self.config.c0_type:
             nodal = np.asarray(primal)[self.nodes.element_nodes]
-            return np.einsum("emn,en->em", nodal_to_modal(mesh, k), nodal, optimize=True)
-        n0 = self.layout.n0
-        return np.asarray(primal)[: self.n_v0].reshape(-1, n0)
+            return _modal_coefficients(mesh, self.config.k, nodal)
+        return np.asarray(primal)[: self.n_v0].reshape(-1, self.config.n0)
 
     def ub_coefficients(self, primal):
         """Per-edge trace coefficients (ne, k + 1); None in the C0 variant."""
         if self.config.c0_type:
             return None
-        return np.asarray(primal)[self.vb_base : self.vg_base].reshape(-1, self.layout.nb)
+        return np.asarray(primal)[self.vb_base : self.vg_base].reshape(-1, self.config.nb)
 
     def ug_coefficients(self, primal):
         """Per-edge gradient coefficients (ne, 2, k)."""
-        return np.asarray(primal)[self.vg_base :].reshape(-1, 2, self.layout.ng)
+        return np.asarray(primal)[self.vg_base :].reshape(-1, 2, self.config.ng)
 
 
 @_per_mesh
 def build_dof_map(mesh, config):
     """Build the :class:`DofMap` of a mesh/config pair (cached on the mesh)."""
-    layout = LocalLayout(config.k, config.c0_type)
-    n0, nb, ng = layout.n0, layout.nb, 2 * layout.ng  # ng: per-edge gradient block
+    n0, nb, ng = config.n0, config.nb, 2 * config.ng  # ng: per-edge gradient block
     nt, ne = mesh.n_triangles, mesh.n_edges
 
     if config.c0_type:
@@ -352,8 +359,6 @@ def weak_hessian_local(mesh, config, elements=slice(None)):
     <pdwg.assembly.assemble_constraint>` asks for one chunk at a time.
     """
     k = config.k
-    layout = build_dof_map(mesh, config).layout
-
     tb = get_tri_basis(mesh, k)
     sb = get_tri_basis(mesh, config.mult_degree)
     pts, w = get_element_rule(mesh, GEOMETRY_TRI_DEGREE(k), elements)
@@ -366,7 +371,6 @@ def weak_hessian_local(mesh, config, elements=slice(None)):
     Mg = np.einsum("etqm,etqr,etq->etmr", VS_tr, Xg, we, optimize=True)
 
     if config.c0_type:
-        trans = nodal_to_modal(mesh, k)[elements]
         VSd_vol = {1: sb.eval(pts, dx=1, elements=elements),
                    2: sb.eval(pts, dy=1, elements=elements)}
         V0d = {1: tb.eval(pts, dx=1, elements=elements),
@@ -385,25 +389,25 @@ def weak_hessian_local(mesh, config, elements=slice(None)):
     matrices = {}
     for i in (1, 2):
         for j in (1, 2):
-            H = np.zeros((ne, sb.dim, layout.nloc))
+            H = np.zeros((ne, sb.dim, config.nloc))
             if config.c0_type:
                 A = -np.einsum(
                     "eqm,eql,eq->eml", VSd_vol[j], V0d[i], w, optimize=True
                 )
-                H[:, :, layout.v0] = A @ trans
+                H[:, :, config.v0] = _v0_columns(mesh, config, A, elements)
             else:
                 dx = (i == 1) + (j == 1)
                 dy = (i == 2) + (j == 2)
                 if (dx, dy) not in H0:
                     VSd = sb.eval(pts, dx=dx, dy=dy, elements=elements)
                     H0[dx, dy] = np.einsum("eqm,eql,eq->eml", VSd, V0, w, optimize=True)
-                H[:, :, layout.v0] = H0[dx, dy]
+                H[:, :, config.v0] = H0[dx, dy]
                 for ledge in range(3):
-                    H[:, :, layout.vb(ledge)] -= (
+                    H[:, :, config.vb(ledge)] -= (
                         nrm[:, ledge, i - 1, None, None] * Mb[j][:, ledge]
                     )
             for ledge in range(3):
-                H[:, :, layout.vg(ledge, i - 1)] += (
+                H[:, :, config.vg(ledge, i - 1)] += (
                     nrm[:, ledge, j - 1, None, None] * Mg[:, ledge]
                 )
             matrices[(i, j)] = H

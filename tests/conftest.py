@@ -1,5 +1,7 @@
 """Shared fixtures (mesh hierarchies, a session-wide study cache) and helpers."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,19 @@ from pdwg.analysis import run_study
 from pdwg.mesh import DomainSpec, build_initial_mesh, refine_uniform
 from pdwg.problems import builtin
 from pdwg.wgspace import SpaceConfig
+
+# When a hypothesis test fails, the hypothesis plugin imports this module to
+# write a patch for the failing example.  With libcst installed, that import
+# raises a DeprecationWarning (from mypy_extensions), which
+# ``filterwarnings = ["error"]`` turns into an INTERNALERROR that ends the
+# session instead of reporting the failure.  Importing it once here, with
+# that warning ignored, leaves the plugin a module that is already loaded.
+with warnings.catch_warnings():
+    warnings.simplefilter("ignore", DeprecationWarning)
+    try:
+        import hypothesis.extra._patching  # noqa: F401
+    except ImportError:
+        pass
 
 
 def assert_csr_bitwise_equal(got, want):

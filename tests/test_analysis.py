@@ -24,6 +24,7 @@ from pdwg.polyquad import (
     eval_element_poly,
     get_edge_rule,
     get_element_rule,
+    project_edge,
     project_element,
 )
 from pdwg.problems import ProblemSpec, builtin
@@ -52,7 +53,7 @@ def quadratic_problem():
 def test_lagrange_interpolant_exact_on_quadratic(unit_meshes):
     mesh = unit_meshes[1]
     q = lambda x, y: 1.0 + 2.0 * x - y + x * y + 3.0 * x**2 - 2.0 * y**2
-    coeffs = lagrange_interpolant(q, mesh)
+    coeffs = lagrange_interpolant(q, mesh, 2)
     proj = project_element(q, 2, mesh)
     assert np.allclose(coeffs, proj, rtol=0.0, atol=1e-12)
 
@@ -61,7 +62,7 @@ def test_lagrange_interpolant_error_decay(unit_meshes):
     u = lambda x, y: np.sin(x) * np.sin(y)
     errs = []
     for mesh in unit_meshes[1:4]:
-        coeffs = lagrange_interpolant(u, mesh)
+        coeffs = lagrange_interpolant(u, mesh, 2)
         pts, w = get_element_rule(mesh, 10)
         diff = eval_element_poly(mesh, 2, coeffs, pts) - u(pts[..., 0], pts[..., 1])
         errs.append(np.sqrt(np.sum(w * diff**2)))
@@ -83,7 +84,7 @@ def test_edge_gradient_interpolant_exact_on_linear(unit_meshes):
 def test_edge_gradient_interpolant_zero_field(unit_meshes):
     mesh = unit_meshes[1]
     zero = lambda x, y: np.zeros((2,) + np.broadcast(x, y).shape)
-    assert np.all(edge_gradient_interpolant(zero, mesh) == 0.0)
+    assert np.all(edge_gradient_interpolant(zero, mesh, 1) == 0.0)
 
 
 def test_edge_gradient_interpolant_weighted_decay(unit_meshes):
@@ -108,7 +109,7 @@ def test_edge_gradient_interpolant_rejects_nonfinite(unit_meshes):
     mesh = unit_meshes[0]
     bad = lambda x, y: np.full((2,) + np.broadcast(x, y).shape, np.nan)
     with pytest.raises(ValueError, match="non-finite"):
-        edge_gradient_interpolant(bad, mesh)
+        edge_gradient_interpolant(bad, mesh, 1)
 
 
 def nan_beyond(u, edge=0.9):
@@ -152,10 +153,8 @@ def test_error_norms_quadratic_solution(unit_meshes, c0):
     assert errs.eg <= 1e-9
     assert errs.gamma <= 1e-9
     assert abs(errs.s_energy) <= 1e-10
-    if c0:
-        assert errs.eb is None
-    else:
-        assert errs.eb <= 1e-9
+    if not c0:  # the value trace is the edge projection of the quadratic
+        assert np.abs(sol.ub - project_edge(prob.exact_u, 2, mesh)).max() <= 1e-9
     assert errs.level == mesh.level
     assert errs.inv_h == pytest.approx(1.0 / mesh.h_max)
 

@@ -26,6 +26,7 @@ from pdwg.assembly import (
 from pdwg.mesh import DomainSpec, build_initial_mesh, refine_uniform
 from pdwg.polyquad import (
     _GRAM_CHUNK,
+    DATA_DEGREE_DEFAULT,
     GEOMETRY_TRI_DEGREE,
     edge_basis,
     get_edge_rule,
@@ -171,8 +172,8 @@ def test_stabilizer_decay_on_smooth_data(unit_meshes):
 def stabilizer_whole_array(mesh, dm):
     """S by the whole-array formula: one einsum per mismatch over every
     element, an int64 COO scatter and the global ``0.5 * (S + S.T)``."""
-    we, jumps = _edge_jumps(mesh, dm)
-    nloc = dm.layout.nloc
+    we, jumps = _edge_jumps(mesh, dm.config)
+    nloc = dm.config.nloc
     jump0, jump1 = None, np.zeros((mesh.n_triangles, nloc, nloc))
     for p, J in jumps:
         gram = np.einsum("etql,etqm,etq->elm", J, J, we, optimize=True)
@@ -225,7 +226,7 @@ def test_stabilizer_scratch_memory_bounded():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    blocks = mesh.n_triangles * dm.layout.nloc**2 * 8
+    blocks = mesh.n_triangles * dm.config.nloc**2 * 8
     assert peak <= 5.0 * blocks
 
 
@@ -247,7 +248,7 @@ def test_stabilizer_streams_by_chunks(c0):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    blocks = mesh.n_triangles * dm.layout.nloc**2 * 8
+    blocks = mesh.n_triangles * dm.config.nloc**2 * 8
     assert peak <= 2.5 * blocks
 
 
@@ -267,8 +268,8 @@ def test_stabilizer_threads_each_hold_one_chunk(set_chunk, set_workers, workers)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    blocks = mesh.n_triangles * dm.layout.nloc**2 * 8
-    chunk_blocks = 128 * dm.layout.nloc**2 * 8
+    blocks = mesh.n_triangles * dm.config.nloc**2 * 8
+    chunk_blocks = 128 * dm.config.nloc**2 * 8
     assert peak <= 2.5 * blocks + (workers - 1) * 2.0 * chunk_blocks
 
 
@@ -314,9 +315,9 @@ def test_coupled_pairs_hold_every_nonzero_of_the_local_blocks(unit_meshes, k, c0
     mesh = unit_meshes[1]
     dm = build_dof_map(mesh, SpaceConfig(k=k, c0_type=c0))
     local = stabilizer_local_parts(mesh, dm)
-    nloc = dm.layout.nloc
+    nloc = dm.config.nloc
     mask = np.zeros((nloc, nloc), dtype=bool)
-    mask[_coupled_pairs(dm.layout)] = True
+    mask[_coupled_pairs(dm.config)] = True
     assert np.array_equal(mask, mask.T)
     assert 0 < mask.sum() < nloc**2
     assert np.all(local[:, ~mask] == 0.0)
@@ -335,7 +336,7 @@ def constraint_whole_array(mesh, dm, problem):
     region = mesh.region_tags[:, None]
     VS = get_tri_basis(mesh, config.mult_degree).eval(pts)
     a = problem.coeff.entries(x, y, region)
-    ns, nloc = dm.ns, dm.layout.nloc
+    ns, nloc = dm.config.ns, dm.config.nloc
     B_local = np.zeros((mesh.n_triangles, ns, nloc))
     for (i, j), H in weak_hessian_local(mesh, config).items():
         M = np.einsum("eqn,eqm,eq,eq->enm", VS, VS, a[f"{i}{j}"], w, optimize=True)
@@ -376,7 +377,7 @@ def test_zero_coefficients_zero_rhs(unit_meshes):
     dm = build_dof_map(mesh, SpaceConfig(k=2, c0_type=False))
     zero = lambda x, y, region=None: np.zeros(np.broadcast(x, y).shape)
     coeff = CoefficientField(a11=zero, a12=zero, a22=zero)
-    B, F = assemble_constraint(mesh, dm, coeff, zero)
+    B, F = assemble_constraint(mesh, dm, coeff, zero, DATA_DEGREE_DEFAULT)
     assert B.nnz == 0 or np.abs(B.data).max() == 0.0
     assert np.all(F == 0.0)
 
@@ -395,9 +396,10 @@ def test_constraint_consistency_constant_tensor(unit_meshes):
     config = SpaceConfig(k=2, multiplier_space="pkm1", c0_type=False)
     dm = build_dof_map(mesh, config)
     coeff = constant_coefficients(A_CONST)
-    B, _ = assemble_constraint(mesh, dm, coeff, lambda x, y, region=None: 0.0 * x)
+    B, _ = assemble_constraint(mesh, dm, coeff, lambda x, y, region=None: 0.0 * x,
+                               DATA_DEGREE_DEFAULT)
     v = project_weak(mesh, config, w, grad)
-    got = (B @ v).reshape(mesh.n_triangles, dm.ns)
+    got = (B @ v).reshape(mesh.n_triangles, dm.config.ns)
     ref = project_element(lop, config.mult_degree, mesh, quad_degree=16)
     assert np.abs(got - ref).max() < 1e-10
 
@@ -407,7 +409,8 @@ def test_constraint_row_p0_is_element_integral(unit_meshes, rng):
     config = SpaceConfig(k=2, multiplier_space="pkm2", c0_type=False)
     dm = build_dof_map(mesh, config)
     coeff = constant_coefficients(A_CONST)
-    B, _ = assemble_constraint(mesh, dm, coeff, lambda x, y, region=None: 0.0 * x)
+    B, _ = assemble_constraint(mesh, dm, coeff, lambda x, y, region=None: 0.0 * x,
+                               DATA_DEGREE_DEFAULT)
     hess = weak_hessian_local(mesh, config)
     a = np.asarray(A_CONST)
     for _ in range(20):
@@ -433,7 +436,7 @@ def test_coefficient_without_region_keyword_rejected(unit_meshes):
         a22=lambda x, y, s=2.0: s + 0 * x,
     )
     with pytest.raises(TypeError):
-        assemble_constraint(mesh, dm, coeff, builtin("p1").f)
+        assemble_constraint(mesh, dm, coeff, builtin("p1").f, DATA_DEGREE_DEFAULT)
 
 
 # -- saddle system ---------------------------------------------------------------
@@ -528,7 +531,7 @@ def test_dirichlet_zero_g(unit_meshes):
     config = SpaceConfig(k=2, multiplier_space="pkm1", c0_type=True)
     system = build_saddle(mesh, config, builtin("p1"))
     zero = lambda x, y: np.zeros(np.shape(x))
-    values = apply_dirichlet(system.dofmap, mesh, zero)
+    values = apply_dirichlet(system.dofmap, mesh, zero, DATA_DEGREE_DEFAULT)
     assert np.all(values == 0.0)
     # Zero boundary data moves nothing to the right-hand side: [0; F].
     _, rhs_red, free_idx = _eliminate(replace(system, constrained_values=values))
@@ -543,7 +546,7 @@ def test_nonfinite_boundary_data_rejected(unit_meshes, c0):
     dm = build_dof_map(mesh, SpaceConfig(k=2, c0_type=c0))
     bad = lambda x, y: np.where(x > 0.9, np.inf, 1.0)
     with pytest.raises(ValueError, match="^boundary data evaluation returned a non-finite value$"):
-        apply_dirichlet(dm, mesh, bad)
+        apply_dirichlet(dm, mesh, bad, DATA_DEGREE_DEFAULT)
 
 
 def test_dirichlet_nodal_reproduction(unit_meshes):
@@ -551,7 +554,7 @@ def test_dirichlet_nodal_reproduction(unit_meshes):
     config = SpaceConfig(k=2, multiplier_space="pkm1", c0_type=True)
     p = builtin("p1")
     system = build_saddle(mesh, config, p)
-    values = apply_dirichlet(system.dofmap, mesh, p.g)
+    values = apply_dirichlet(system.dofmap, mesh, p.g, p.quad_degree)
     nodes = system.dofmap.nodes
     coords = nodes.coords[nodes.boundary_nodes]
     assert np.abs(values - p.exact_u(coords[:, 0], coords[:, 1])).max() < 1e-14
@@ -578,7 +581,7 @@ def test_eliminated_system_symmetric(unit_meshes):
     config = SpaceConfig(k=2, multiplier_space="pkm1", c0_type=False)
     p = builtin("p1")
     system = build_saddle(mesh, config, p)
-    assert np.array_equal(system.constrained_values, apply_dirichlet(system.dofmap, mesh, p.g))
+    assert np.array_equal(system.constrained_values, apply_dirichlet(system.dofmap, mesh, p.g, p.quad_degree))
     K_red, rhs_red, free_idx = _eliminate(system)
     d = (K_red - K_red.T).tocoo()
     assert d.nnz == 0 or np.abs(d.data).max() < 1e-14

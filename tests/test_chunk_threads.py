@@ -20,6 +20,7 @@ from pdwg.assembly import (
 )
 from pdwg.mesh import Mesh
 from pdwg.polyquad import (
+    DATA_DEGREE_DEFAULT,
     TriangleBasis,
     _for_chunks,
     get_tri_basis,
@@ -102,8 +103,7 @@ def routed_results(mesh, solutions):
         out[f"{name} B"] = B
         out[f"{name} F"] = F
         out[f"{name} stabilizer_energy"] = np.array(stabilizer_energy(mesh, dm, sol.primal))
-        errors = astuple(error_norms(sol, problem))
-        out[f"{name} error_norms"] = np.array([np.nan if v is None else v for v in errors])
+        out[f"{name} error_norms"] = np.array(astuple(error_norms(sol, problem)))
         norms = discrete_norms(sol.primal, mesh, config, problem.coeff)
         out[f"{name} discrete_norms"] = np.array(astuple(norms))
     return out
@@ -166,7 +166,7 @@ def test_threads_raise_the_serial_error(chunked_mesh, pool):
     for workers in (1, 2, 3):
         started = pool(workers)
         with pytest.raises(ValueError) as err:
-            assemble_constraint(mesh, dm, coeff, one)
+            assemble_constraint(mesh, dm, coeff, one, DATA_DEGREE_DEFAULT)
         assert len(started) == workers - 1
         messages.append(str(err.value))
     assert messages == [f"coefficient fails on the chunk from element {2 * POOL_CHUNK}"] * 3
@@ -277,7 +277,8 @@ def test_helper_threads_read_only_cached_inputs(chunked_mesh, pool, monkeypatch)
         mesh = fresh()
         assemble_stabilizer(mesh, build_dof_map(mesh, config))
         mesh = fresh()
-        assemble_constraint(mesh, build_dof_map(mesh, config), problem.coeff, problem.f)
+        assemble_constraint(mesh, build_dof_map(mesh, config), problem.coeff, problem.f,
+                            problem.quad_degree)
         mesh = fresh()
         dm = build_dof_map(mesh, config)
         discrete_norms(np.zeros(dm.n_primal), mesh, config, problem.coeff)

@@ -14,8 +14,8 @@ from pdwg.polyquad import (
     get_tri_basis,
     project_element,
 )
+from pdwg.problems import builtin
 from pdwg.wgspace import (
-    LocalLayout,
     SpaceConfig,
     apply_weak_hessian,
     build_dof_map,
@@ -60,7 +60,7 @@ def test_config_accepts_numpy_integer_degrees():
 
 
 def test_local_layout_general():
-    lo = LocalLayout(2, False)
+    lo = SpaceConfig(k=2, c0_type=False)
     assert lo.n0 == 6 and lo.nb == 3 and lo.ng == 2
     assert lo.nloc == 6 + 3 * 3 + 3 * 4
     # Slices tile the local vector without overlap.
@@ -176,9 +176,8 @@ def test_weak_hessian_of_a_chunk_is_the_whole_mesh_rows(chunked_mesh, set_chunk,
 def test_weak_hessian_zero_and_linearity(unit_meshes, rng):
     mesh = unit_meshes[1]
     config = SpaceConfig(k=2, multiplier_space="pkm1", c0_type=False)
-    dm = build_dof_map(mesh, config)
     hess = weak_hessian_local(mesh, config)
-    zero = np.zeros((mesh.n_triangles, dm.layout.nloc))
+    zero = np.zeros((mesh.n_triangles, config.nloc))
     v = rng.standard_normal(zero.shape)
     w = rng.standard_normal(zero.shape)
     for i in (1, 2):
@@ -245,27 +244,33 @@ def refine(mesh):
     return refine_uniform(mesh)
 
 
+def c0_to_general_operator(mesh, k):
+    """Per-element ``P_T`` (nt, nloc general, nloc C0) taking C0 local vectors to general ones.
+
+    ``v0`` is the modal form of the nodal values, each ``vb`` block the
+    L2 projection of the ``v0`` trace on that edge in the global edge
+    orientation, and each ``vg`` block is copied.
+    """
+    c0, gen = SpaceConfig(k=k, c0_type=True), SpaceConfig(k=k, c0_type=False)
+    trans = nodal_to_modal(mesh, k)
+    g = mesh.tri_edges
+    pe, we, t = get_edge_rule(mesh, GEOMETRY_EDGE_DEGREE(k), g)
+    trace = np.einsum("etqm,etq,etqn->etmn", edge_basis(mesh, k, t, g), we,
+                      get_tri_basis(mesh, k).eval(pe), optimize=True)
+    P = np.zeros((mesh.n_triangles, gen.nloc, c0.nloc))
+    P[:, gen.v0, c0.v0] = trans
+    for ledge in range(3):
+        P[:, gen.vb(ledge), c0.v0] = trace[:, ledge] @ trans
+        for comp in (0, 1):
+            P[:, gen.vg(ledge, comp), c0.vg(ledge, comp)] = np.eye(c0.ng)
+    return P
+
+
 def c0_to_general_local(mesh, primal, config_c0):
     """Re-express a C0 primal vector as general-variant local vectors."""
-    k = config_c0.k
-    dm = build_dof_map(mesh, config_c0)
-    u0 = dm.u0_coefficients(primal, mesh)
-    ug = dm.ug_coefficients(primal)
-    layout = LocalLayout(k, False)
-    loc = np.zeros((mesh.n_triangles, layout.nloc))
-    loc[:, layout.v0] = u0
-
-    tb = get_tri_basis(mesh, k)
-    epts, ew, t = get_edge_rule(mesh, GEOMETRY_EDGE_DEGREE(k))
-    Xb = edge_basis(mesh, k, t)
-    g = mesh.tri_edges
-    vals = np.einsum("etqn,en->etq", tb.eval(epts[g]), u0, optimize=True)
-    trace = np.einsum("etq,etqm,etq->etm", vals, Xb[g], ew[g], optimize=True)
-    for ledge in range(3):
-        loc[:, layout.vb(ledge)] = trace[:, ledge]
-        for comp in (0, 1):
-            loc[:, layout.vg(ledge, comp)] = ug[g[:, ledge], comp]
-    return loc
+    P = c0_to_general_operator(mesh, config_c0.k)
+    loc = build_dof_map(mesh, config_c0).local_vectors(primal)
+    return np.einsum("elm,em->el", P, loc, optimize=True)
 
 
 def test_weak_hessian_c0_general_agreement(unit_meshes, rng):
@@ -288,6 +293,29 @@ def test_weak_hessian_c0_general_agreement(unit_meshes, rng):
                 assert np.abs(a - b).max() < 1e-11
 
 
+@pytest.mark.parametrize("name, k, ms", [
+    ("p1", 2, "pkm1"), ("p1", 3, "pkm1"), ("p3", 3, "pkm2"), ("p5ref", 4, "pkm1"),
+])
+def test_c0_operators_are_general_operators_on_traces(name, k, ms):
+    # The C0 space is the general space with vb the trace of v0, so its
+    # local stabilizer and weak Hessians are the general ones seen through
+    # P_T: S_c0 = P^T S_gen P and H_c0 = H_gen P.
+    mesh = refine(build_initial_mesh(builtin(name).domain))
+    c0 = SpaceConfig(k=k, multiplier_space=ms, c0_type=True)
+    gen = SpaceConfig(k=k, multiplier_space=ms, c0_type=False)
+    P = c0_to_general_operator(mesh, k)
+
+    def assert_close(got, want):
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+    S_gen = stabilizer_local_parts(mesh, build_dof_map(mesh, gen))
+    S_c0 = stabilizer_local_parts(mesh, build_dof_map(mesh, c0))
+    assert_close(np.swapaxes(P, 1, 2) @ S_gen @ P, S_c0)
+    h_gen, h_c0 = weak_hessian_local(mesh, gen), weak_hessian_local(mesh, c0)
+    for ij in ((1, 1), (1, 2), (2, 1), (2, 2)):
+        assert_close(h_gen[ij] @ P, h_c0[ij])
+
+
 def test_weak_hessian_geometry_only(unit_meshes):
     # The operator depends on geometry and configuration, never on the
     # coefficient tensor: assembling different problems must reuse it.
@@ -297,7 +325,7 @@ def test_weak_hessian_geometry_only(unit_meshes):
     snapshot = {key: m.copy() for key, m in h1.items()}
 
     from pdwg.assembly import build_saddle, constant_coefficients
-    from pdwg.problems import ProblemSpec, builtin
+    from pdwg.problems import ProblemSpec
 
     build_saddle(mesh, config, builtin("p1"))
     alt = ProblemSpec(
@@ -335,7 +363,7 @@ def bound_constants(mesh, config):
             Vd = tb.eval(pts, dx=(i == 1) + (j == 1), dy=(i == 2) + (j == 2))
             A00 = np.einsum("eqn,eqm,eq->enm", Vd, Vd, w, optimize=True)
             den = S_loc.copy()
-            den[:, dm.layout.v0, dm.layout.v0] += A00
+            den[:, config.v0, config.v0] += A00
             worst = 0.0
             for e in range(mesh.n_triangles):
                 wd, U = np.linalg.eigh(den[e])
@@ -370,9 +398,9 @@ def test_weak_hessian_bound_constant_under_refinement(rng):
     tb = get_tri_basis(mesh, config.k)
     C = constants[-1]
     for _ in range(100):
-        loc = rng.standard_normal((mesh.n_triangles, dm.layout.nloc))
+        loc = rng.standard_normal((mesh.n_triangles, config.nloc))
         sT = np.einsum("elm,el,em->e", S_loc, loc, loc)
-        u0 = loc[:, dm.layout.v0]
+        u0 = loc[:, config.v0]
         for i in (1, 2):
             for j in (1, 2):
                 num = np.sum(apply_weak_hessian(loc, hess, i, j) ** 2, axis=1)
