@@ -33,7 +33,6 @@ import numpy as np
 from .assembly import build_saddle, stabilizer_energy
 from .mesh import _write_text, build_initial_mesh, refine_uniform
 from .polyquad import (
-    DATA_DEGREE_DEFAULT,
     GEOMETRY_TRI_DEGREE,
     _edge_points,
     _finite,
@@ -94,8 +93,8 @@ class LevelErrors:
 def lagrange_interpolant(u, mesh, k):
     """Orthonormal coefficients of the degree-``k`` Lagrange interpolant."""
     nodes = lagrange_nodes(mesh, k)
-    xy = nodes.coords[nodes.element_nodes]
-    return _modal_coefficients(mesh, k, _finite(u(xy[..., 0], xy[..., 1])))
+    values = _finite(u(nodes.coords[:, 0], nodes.coords[:, 1]))
+    return _modal_coefficients(mesh, k, values[nodes.element_nodes])
 
 
 def edge_gradient_interpolant(grad_u, mesh, degree):
@@ -177,7 +176,7 @@ class NormReport:
     s_energy: float
 
 
-def discrete_norms(primal, mesh, config, coeff):
+def discrete_norms(primal, mesh, config, problem):
     """Strong-Hessian and weak-Hessian discrete norms of a primal vector.
 
     ``norm_2h`` uses the multiplier-space projection of
@@ -185,10 +184,11 @@ def discrete_norms(primal, mesh, config, coeff):
     replaces the projected strong Hessian with the discrete weak Hessian
     of the full triplet.  Both include the stabilizer energy, summed from
     squared pointwise jumps by :func:`~pdwg.assembly.stabilizer_energy`.
-    The integrands are formed one chunk of elements at a time.
+    ``problem`` gives the tensor and the data degree, as for
+    :func:`error_norms`; the integrands are formed one chunk at a time.
     """
     dofmap = build_dof_map(mesh, config)
-    qd = max(GEOMETRY_TRI_DEGREE(config.k), DATA_DEGREE_DEFAULT)
+    qd = max(GEOMETRY_TRI_DEGREE(config.k), problem.quad_degree)
     primal = np.asarray(primal, dtype=float)
 
     local = dofmap.local_vectors(primal)
@@ -205,17 +205,16 @@ def discrete_norms(primal, mesh, config, coeff):
         hess = weak_hessian_local(mesh, config, e)
         pts, w = get_element_rule(mesh, qd, e)
         VS = basis_s.eval(pts, elements=e)
-        a = coeff.entries(pts[..., 0], pts[..., 1], region[e])
+        a = problem.coeff.entries(pts[..., 0], pts[..., 1], region[e])
+        # d2[dx]: u0 differentiated dx times in x and 2 - dx times in y.
+        d2 = [np.einsum("eqn,en->eq", basis_k.eval(pts, dx, 2 - dx, elements=e), u0[e],
+                        optimize=True) for dx in range(3)]
         weak_vals = np.zeros(pts.shape[:2])
         strong_vals = np.zeros(pts.shape[:2])
         for i, j in ((1, 1), (1, 2), (2, 1), (2, 2)):
             dij = apply_weak_hessian(local[e], hess, i, j)  # (ne, ns)
             weak_vals += a[f"{i}{j}"] * np.einsum("eqn,en->eq", VS, dij, optimize=True)
-            dx, dy = (i == 1) + (j == 1), (i == 2) + (j == 2)
-            d2 = np.einsum(
-                "eqn,en->eq", basis_k.eval(pts, dx, dy, elements=e), u0[e], optimize=True
-            )
-            strong_vals += a[f"{i}{j}"] * d2
+            strong_vals += a[f"{i}{j}"] * d2[(i == 1) + (j == 1)]
         # Project the strong combination onto the multiplier space per element.
         strong_coeff[e] = np.einsum("eqn,eq,eq->en", VS, strong_vals, w, optimize=True)
         weak_sq[e] = w * weak_vals**2
@@ -241,7 +240,6 @@ def _fmt(x):
 class ConvergenceTable:
     """Per-level error norms and observed orders of one study."""
 
-    problem_name: str
     rows: tuple
 
     def order_rows(self):
@@ -365,4 +363,4 @@ def run_study(problem, config=None, levels=6, on_level=None):
             on_level(sol, row)
         # Free this level's system and solution before the next is built.
         del sol
-    return ConvergenceTable(problem_name=problem.name, rows=tuple(rows))
+    return ConvergenceTable(rows=tuple(rows))

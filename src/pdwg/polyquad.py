@@ -180,7 +180,6 @@ class QuadratureRule:
 
     points: np.ndarray
     weights: np.ndarray
-    exact_degree: int
 
 
 def _one_rule_per_degree(build):
@@ -221,7 +220,7 @@ def triangle_quadrature(exact_degree):
     pts = np.column_stack([x, y])
     pts.setflags(write=False)
     w.setflags(write=False)
-    return QuadratureRule(points=pts, weights=w, exact_degree=exact_degree)
+    return QuadratureRule(points=pts, weights=w)
 
 
 @_one_rule_per_degree
@@ -231,7 +230,7 @@ def edge_quadrature(exact_degree):
     t, w = np.polynomial.legendre.leggauss(n)
     t.setflags(write=False)
     w.setflags(write=False)
-    return QuadratureRule(points=t, weights=w, exact_degree=exact_degree)
+    return QuadratureRule(points=t, weights=w)
 
 
 def monomial_exponents(degree):

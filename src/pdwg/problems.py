@@ -138,14 +138,17 @@ def cordes_samples(domain, level=3):
 
 # -- catalog ----------------------------------------------------------------
 
+def _sin_sin(x, y):
+    """The smooth solution ``sin(x1) sin(x2)`` of ``p1``, ``p2`` and ``p3``."""
+    return np.sin(x) * np.sin(y)
+
+
+def _sin_sin_grad(x, y):
+    return np.stack([np.cos(x) * np.sin(y), np.sin(x) * np.cos(y)])
+
+
 def _sin_sin_problem(name, domain_kind, description):
     a = constant_coefficients([[3.0, 1.0], [1.0, 2.0]])
-
-    def u(x, y):
-        return np.sin(x) * np.sin(y)
-
-    def grad_u(x, y):
-        return np.stack([np.cos(x) * np.sin(y), np.sin(x) * np.cos(y)])
 
     def f(x, y, region=None):
         return -5.0 * np.sin(x) * np.sin(y) + 2.0 * np.cos(x) * np.cos(y)
@@ -155,9 +158,9 @@ def _sin_sin_problem(name, domain_kind, description):
         domain=DomainSpec(domain_kind),
         coeff=a,
         f=f,
-        g=u,
-        exact_u=u,
-        exact_grad_u=grad_u,
+        g=_sin_sin,
+        exact_u=_sin_sin,
+        exact_grad_u=_sin_sin_grad,
         description=description,
     )
 
@@ -172,12 +175,6 @@ def _p3():
     def a22(x, y, region=None):
         return 1.0 + np.abs(y)
 
-    def u(x, y):
-        return np.sin(x) * np.sin(y)
-
-    def grad_u(x, y):
-        return np.stack([np.cos(x) * np.sin(y), np.sin(x) * np.cos(y)])
-
     def f(x, y, region=None):
         return (
             -(2.0 + np.abs(x) + np.abs(y)) * np.sin(x) * np.sin(y)
@@ -189,9 +186,9 @@ def _p3():
         domain=DomainSpec("ref_square"),
         coeff=CoefficientField(a11=a11, a12=a12, a22=a22, bounds=None),
         f=f,
-        g=u,
-        exact_u=u,
-        exact_grad_u=grad_u,
+        g=_sin_sin,
+        exact_u=_sin_sin,
+        exact_grad_u=_sin_sin_grad,
         quad_degree=20,
         description="continuous non-smooth tensor, smooth solution, (-1,1)^2",
     )

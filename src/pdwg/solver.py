@@ -5,7 +5,8 @@ eliminated symmetrically, is symmetric indefinite; it is factorized with
 a sparse LU (SuperLU), with one step of iterative refinement, and the
 relative algebraic residual is verified against a hard tolerance.
 Failure to factorize, a non-finite solution, or a residual above
-tolerance raise :class:`SolverError` naming the suspect block.
+tolerance raise :class:`SolverError` naming the suspect block and the
+sizes of the reduced system and, once computed, of its factors.
 """
 
 from __future__ import annotations
@@ -97,6 +98,7 @@ def solve(system):
     """
     K_red, rhs_red, free_idx = _eliminate(system)
     rhs_norm = float(np.linalg.norm(rhs_red))
+    sizes = f"K_red order {K_red.shape[0]}, nnz {K_red.nnz}"
 
     try:
         lu = spla.splu(K_red)
@@ -104,22 +106,23 @@ def solve(system):
         raise SolverError(
             "sparse factorization failed: the saddle system is singular or "
             "numerically rank-deficient; the constraint block B is the usual "
-            "suspect (mesh too coarse for the multiplier space)"
+            f"suspect (mesh too coarse for the multiplier space); {sizes}"
         ) from exc
+    sizes += f", L+U nnz {lu.nnz}"
     x = lu.solve(rhs_red)
     x = x + lu.solve(rhs_red - K_red @ x)  # one step of iterative refinement
 
     if not np.all(np.isfinite(x)):
         raise SolverError(
             "solver produced non-finite values: the saddle system is singular "
-            "or numerically rank-deficient (check the constraint block B)"
+            f"or numerically rank-deficient (check the constraint block B); {sizes}"
         )
     resid = float(np.linalg.norm(rhs_red - K_red @ x))
     rel = resid / rhs_norm if rhs_norm > 0 else resid
     if rel > RESIDUAL_RTOL:
         raise SolverError(
             f"relative residual {rel:.3e} exceeds tolerance {RESIDUAL_RTOL:.1e}; "
-            "the system is too ill-conditioned for the factorization"
+            f"the system is too ill-conditioned for the factorization; {sizes}"
         )
 
     primal = np.zeros(system.n_primal)

@@ -253,7 +253,7 @@ def test_c7c_stabilizer_psd_and_conforming_zero(rng):
 def test_c7d_norm_equivalence(rng):
     t0 = time.perf_counter()
     config = SpaceConfig(k=2, multiplier_space="pkm1", c0_type=True)
-    coeff = constant_coefficients([[3.0, 1.0], [1.0, 2.0]])
+    p1 = builtin("p1")
     mesh = build_initial_mesh(DomainSpec("unit_square"))
     lo, hi = [], []
     for lvl in range(1, 4):
@@ -262,7 +262,7 @@ def test_c7d_norm_equivalence(rng):
         ratios = []
         for _ in range(100):
             v = rng.standard_normal(dm.n_primal)
-            rep = discrete_norms(v, mesh, config, coeff)
+            rep = discrete_norms(v, mesh, config, p1)
             ratios.append(rep.triple_norm / rep.norm_2h)
         lo.append(min(ratios))
         hi.append(max(ratios))

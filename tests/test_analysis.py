@@ -33,8 +33,6 @@ from pdwg.wgspace import SpaceConfig, interpolate_weak, project_weak
 
 from conftest import CHUNKS
 
-A_CONST = [[3.0, 1.0], [1.0, 2.0]]
-
 
 def quadratic_problem():
     return ProblemSpec(
@@ -188,11 +186,11 @@ def test_discrete_norms_quadratic_oracle(unit_meshes, c0):
     # the stabilizer vanishes, and both norms equal 20 * sqrt(area) = 20.
     mesh = unit_meshes[1]
     config = SpaceConfig(k=2, multiplier_space="pkm1", c0_type=c0)
-    coeff = constant_coefficients(A_CONST)
+    p1 = builtin("p1")
     q = lambda x, y: x**2 + 3.0 * x * y + 2.0 * y**2
     gq = lambda x, y: np.stack([2.0 * x + 3.0 * y, 3.0 * x + 4.0 * y])
     v = interpolate_weak(mesh, config, q, gq) if c0 else project_weak(mesh, config, q, gq)
-    report = discrete_norms(v, mesh, config, coeff)
+    report = discrete_norms(v, mesh, config, p1)
     assert isinstance(report, NormReport)
     assert report.norm_2h == pytest.approx(20.0, rel=1e-11)
     assert report.triple_norm == pytest.approx(20.0, rel=1e-11)
@@ -202,10 +200,27 @@ def test_discrete_norms_quadratic_oracle(unit_meshes, c0):
 def test_discrete_norms_zero_vector(unit_meshes):
     mesh = unit_meshes[1]
     config = SpaceConfig()
-    coeff = constant_coefficients(A_CONST)
+    p1 = builtin("p1")
     dm_size = interpolate_weak(mesh, config, lambda x, y: 0.0 * x, lambda x, y: np.stack([0.0 * x, 0.0 * y])).shape
-    report = discrete_norms(np.zeros(dm_size), mesh, config, coeff)
+    report = discrete_norms(np.zeros(dm_size), mesh, config, p1)
     assert report == NormReport(0.0, 0.0, 0.0)
+
+
+@pytest.mark.parametrize("name", ["p3", "p5"])
+def test_discrete_norms_integrate_at_the_problem_data_degree(unit_meshes, ref_meshes, name):
+    # The rough tensors of p3 and p5 need degree 20; at degree 12 both
+    # norms move by 4e-7 to 3e-6 relative on these level-3 solutions.
+    problem = builtin(name)
+    assert problem.quad_degree == 20
+    mesh = (unit_meshes if problem.domain.kind == "unit_square" else ref_meshes)[3]
+    config = SpaceConfig(k=2, multiplier_space="pkm2", c0_type=False)
+    primal = solve(build_saddle(mesh, config, problem)).primal
+    got = discrete_norms(primal, mesh, config, problem)
+    low = discrete_norms(primal, mesh, config, replace(problem, quad_degree=12))
+    assert got.s_energy == low.s_energy
+    for field in ("norm_2h", "triple_norm"):
+        a, b = getattr(got, field), getattr(low, field)
+        assert abs(a - b) >= 1e-7 * abs(a), field
 
 
 def test_norm_equivalence_stable_under_refinement(unit_meshes, rng):
@@ -213,7 +228,7 @@ def test_norm_equivalence_stable_under_refinement(unit_meshes, rng):
     # mesh: empirical ratio bounds over random vectors must not widen
     # by more than 20% across three refinement levels.
     config = SpaceConfig(k=2, multiplier_space="pkm1", c0_type=True)
-    coeff = constant_coefficients(A_CONST)
+    p1 = builtin("p1")
     lo, hi = [], []
     for mesh in unit_meshes[1:4]:
         n = interpolate_weak(
@@ -222,7 +237,7 @@ def test_norm_equivalence_stable_under_refinement(unit_meshes, rng):
         ratios = []
         for _ in range(100):
             v = rng.standard_normal(n)
-            rep = discrete_norms(v, mesh, config, coeff)
+            rep = discrete_norms(v, mesh, config, p1)
             ratios.append(rep.triple_norm / rep.norm_2h)
         lo.append(min(ratios))
         hi.append(max(ratios))
@@ -261,7 +276,6 @@ def small_table():
 
 
 def test_table_shape_and_levels(small_table):
-    assert small_table.problem_name == "p1"
     assert [row.level for row in small_table.rows] == [0, 1, 2]
     inv_h = [row.inv_h for row in small_table.rows]
     assert inv_h[1] == pytest.approx(2.0 * inv_h[0])
@@ -354,6 +368,6 @@ def test_norms_are_chunk_invariant(chunked_mesh, set_chunk, c0):
         got.append(repr((
             astuple(error_norms(sol, problem)),
             stabilizer_energy(chunked_mesh, sol.system.dofmap, sol.primal),
-            astuple(discrete_norms(sol.primal, chunked_mesh, config, problem.coeff)),
+            astuple(discrete_norms(sol.primal, chunked_mesh, config, problem)),
         )))
     assert got[0] == got[1]

@@ -104,7 +104,7 @@ def routed_results(mesh, solutions):
         out[f"{name} F"] = F
         out[f"{name} stabilizer_energy"] = np.array(stabilizer_energy(mesh, dm, sol.primal))
         out[f"{name} error_norms"] = np.array(astuple(error_norms(sol, problem)))
-        norms = discrete_norms(sol.primal, mesh, config, problem.coeff)
+        norms = discrete_norms(sol.primal, mesh, config, problem)
         out[f"{name} discrete_norms"] = np.array(astuple(norms))
     return out
 
@@ -281,7 +281,7 @@ def test_helper_threads_read_only_cached_inputs(chunked_mesh, pool, monkeypatch)
                             problem.quad_degree)
         mesh = fresh()
         dm = build_dof_map(mesh, config)
-        discrete_norms(np.zeros(dm.n_primal), mesh, config, problem.coeff)
+        discrete_norms(np.zeros(dm.n_primal), mesh, config, problem)
         sol = solve(build_saddle(fresh(), config, problem))
         error_norms(sol, problem)
     assert len(started) >= 15

@@ -4,8 +4,10 @@ Each test draws a one-triangle mesh (a random affine image of the
 reference triangle) and checks a convention of :mod:`pdwg.polyquad`
 against an independent reference: rule exactness against Green's
 theorem on 1D Gauss rules, and the orthonormality and reproduction
-properties the bases promise.  Refinement invariants are checked on the
-built-in domains and on random triangles.
+properties the bases promise.  On the same triangles, the weak Hessian
+of a quadratic's weak function is its constant Hessian, and the
+stabilizer vanishes on polynomials of degree k.  Refinement invariants
+are checked on the built-in domains and on random triangles.
 """
 
 import numpy as np
@@ -14,6 +16,7 @@ from hypothesis import strategies as st
 from numpy.polynomial import polynomial as npoly
 
 from pdwg.analysis import edge_gradient_interpolant
+from pdwg.assembly import stabilizer_energy
 from pdwg.mesh import DomainSpec, Mesh, build_initial_mesh, refine_uniform
 from pdwg.polyquad import (
     MAX_EXACT_DEGREE,
@@ -22,6 +25,14 @@ from pdwg.polyquad import (
     get_element_rule,
     get_tri_basis,
     project_edge,
+)
+from pdwg.wgspace import (
+    SpaceConfig,
+    apply_weak_hessian,
+    build_dof_map,
+    interpolate_weak,
+    project_weak,
+    weak_hessian_local,
 )
 
 PROPERTY = settings(max_examples=25, deadline=None, database=None)
@@ -131,6 +142,74 @@ def test_edge_gradient_interpolant_reproduces_polynomial_gradients(mesh, degree,
     want = project_edge(grad_u, degree, mesh)
     bound = n**3 * np.sqrt(h) / h  # bounds |grad u| * sqrt(edge length)
     np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12 * bound)
+
+
+# Both variants, k = 2 and 3, both multiplier spaces.
+SPACES = st.builds(
+    SpaceConfig,
+    k=st.integers(2, 3),
+    multiplier_space=st.sampled_from(["pkm1", "pkm2"]),
+    c0_type=st.booleans(),
+)
+
+
+def _random_polynomial(mesh, degree, data):
+    """Coefficients, value and gradient of a random polynomial of degree ``degree``.
+
+    The polynomial has coefficients in [-1, 1] in the coordinates relative
+    to corner 0 divided by the diameter ``h``.
+    """
+    p0, h = mesh.vertices[0], _diameter(mesh.vertices)
+    n = degree + 1
+    coef = np.array(data.draw(st.lists(st.floats(-1.0, 1.0), min_size=n * n, max_size=n * n)))
+    coef = coef.reshape(n, n) * (np.add.outer(np.arange(n), np.arange(n)) < n)
+
+    def u(x, y):
+        return npoly.polyval2d((x - p0[0]) / h, (y - p0[1]) / h, coef)
+
+    def grad_u(x, y):
+        xi, eta = (x - p0[0]) / h, (y - p0[1]) / h
+        return np.stack([npoly.polyval2d(xi, eta, npoly.polyder(coef, axis=axis)) / h
+                         for axis in (0, 1)])
+
+    return coef, u, grad_u
+
+
+def _weak_function(mesh, config, u, grad_u):
+    """The C0 weak interpolant or the general projection of ``u``."""
+    weak = interpolate_weak if config.c0_type else project_weak
+    return weak(mesh, config, u, grad_u)
+
+
+@PROPERTY
+@given(triangles(), SPACES, st.data())
+def test_weak_hessian_exact_on_quadratics(mesh, config, data):
+    # The weak function of a quadratic q holds q, its traces and its
+    # gradient traces exactly, so integrating by parts gives D_ij = d_ij q,
+    # a constant, at every quadrature point of the element.
+    h = _diameter(mesh.vertices)
+    coef, q, grad_q = _random_polynomial(mesh, 2, data)
+    local = build_dof_map(mesh, config).local_vectors(_weak_function(mesh, config, q, grad_q))
+    hess = weak_hessian_local(mesh, config)
+    pts, _ = get_element_rule(mesh, 2 * config.k)
+    VS = get_tri_basis(mesh, config.mult_degree).eval(pts)[0]
+    for i, j in ((1, 1), (1, 2), (2, 1), (2, 2)):
+        want = npoly.polyder(npoly.polyder(coef, axis=i - 1), axis=j - 1)[0, 0] / h**2
+        got = VS @ apply_weak_hessian(local, hess, i, j)[0]
+        np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-10 / h**2, err_msg=f"D_{i}{j}")
+
+
+@PROPERTY
+@given(triangles(), SPACES, st.data())
+def test_stabilizer_vanishes_on_polynomials_of_degree_k(mesh, config, data):
+    # The weak function of a polynomial of degree <= k is conforming: each
+    # trace is the trace of v0 and each gradient trace that of grad v0, so
+    # every jump is round-off.  The jumps carry weights h^-3 and h^-1.
+    h = _diameter(mesh.vertices)
+    _, u, grad_u = _random_polynomial(mesh, config.k, data)
+    v = _weak_function(mesh, config, u, grad_u)
+    energy = stabilizer_energy(mesh, build_dof_map(mesh, config), v)
+    assert 0.0 <= energy <= 1e-20 * (v @ v) / h**2
 
 
 DOMAIN_MESHES = st.sampled_from(["unit_square", "ref_square", "l_shape"]).map(

@@ -4,12 +4,14 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 
+import pdwg.solver
 from pdwg.assembly import build_saddle, constant_coefficients
 from pdwg.mesh import DomainSpec, build_initial_mesh
 from pdwg.polyquad import get_element_rule
 from pdwg.problems import ProblemSpec, builtin
-from pdwg.solver import RESIDUAL_RTOL, SolverError, WgSolution, solve
+from pdwg.solver import RESIDUAL_RTOL, SolverError, WgSolution, _eliminate, solve
 from pdwg.wgspace import SpaceConfig, build_dof_map
 
 ALL_VARIANTS = [
@@ -148,6 +150,32 @@ def test_singular_system_raises_solver_error(unit_meshes, c0):
     system = build_saddle(unit_meshes[1], config, builtin("p1"))
     with pytest.raises(SolverError, match="sparse factorization failed"):
         solve(replace(system, S=0 * system.S))
+
+
+def test_solver_errors_name_their_sizes(unit_meshes, monkeypatch):
+    # Each failure keeps its opening words and adds the order and nonzeros
+    # of K_red; once factorized, also the nonzeros of L and U.
+    system = build_saddle(unit_meshes[1], SpaceConfig(k=2), builtin("p1"))
+    K_red = _eliminate(system)[0]
+    order = system.n_primal - system.constrained.size + system.n_mult
+    assert K_red.shape == (order, order)
+    sizes = f"K_red order {order}, nnz {K_red.nnz}"
+    factored = f"{sizes}, L+U nnz {spla.splu(K_red).nnz}"
+
+    with pytest.raises(SolverError, match="^sparse factorization failed: ") as info:
+        solve(replace(system, S=0 * system.S))  # same pattern, so the same K_red nnz
+    assert str(info.value).endswith(f"; {sizes}")
+
+    with pytest.raises(SolverError, match="^solver produced non-finite values: ") as info:
+        solve(replace(system, F=np.full_like(system.F, np.nan)))
+    assert str(info.value).endswith(f"; {factored}")
+
+    rel = solve(system).residual_norm
+    assert rel > 0.0
+    monkeypatch.setattr(pdwg.solver, "RESIDUAL_RTOL", rel / 2)
+    with pytest.raises(SolverError, match=f"^relative residual {rel:.3e} exceeds tolerance ") as info:
+        solve(system)
+    assert str(info.value).endswith(f"; {factored}")
 
 
 def test_solve_deterministic(unit_meshes):
