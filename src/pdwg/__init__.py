@@ -6,99 +6,21 @@ Dirichlet boundary data on triangulated polygons, using weak-Hessian
 test spaces, an edge stabilizer, and an element-wise Lagrange
 multiplier.  See :mod:`pdwg.analysis` for convergence studies and
 :mod:`pdwg.cli` for the batch front end.
+
+Every name in a library module's ``__all__`` is re-exported here; that
+list is the one record of the public API.
 """
 
-from .analysis import (
-    ConvergenceTable,
-    LevelErrors,
-    NormReport,
-    discrete_norms,
-    edge_gradient_interpolant,
-    error_norms,
-    lagrange_interpolant,
-    run_study,
-)
-from .assembly import (
-    CoefficientField,
-    SaddleSystem,
-    apply_dirichlet,
-    assemble_constraint,
-    assemble_stabilizer,
-    build_saddle,
-    constant_coefficients,
-    dump_system,
-    stabilizer_energy,
-)
-from .mesh import (
-    DomainSpec,
-    Mesh,
-    build_initial_mesh,
-    dump_mesh,
-    outward_normals,
-    refine_uniform,
-)
-from .polyquad import (
-    QuadratureRule,
-    edge_quadrature,
-    project_edge,
-    project_element,
-    triangle_quadrature,
-)
-from .problems import ProblemSpec, builtin, catalog_names, cordes_check, cordes_samples
-from .solver import SolverError, WgSolution, solve
-from .wgspace import (
-    SpaceConfig,
-    build_dof_map,
-    interpolate_weak,
-    lagrange_nodes,
-    project_weak,
-    weak_hessian_local,
-)
+from . import analysis, assembly, mesh, polyquad, problems, solver, wgspace
+from .analysis import *
+from .assembly import *
+from .mesh import *
+from .polyquad import *
+from .problems import *
+from .solver import *
+from .wgspace import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ConvergenceTable",
-    "LevelErrors",
-    "NormReport",
-    "discrete_norms",
-    "edge_gradient_interpolant",
-    "error_norms",
-    "lagrange_interpolant",
-    "run_study",
-    "CoefficientField",
-    "SaddleSystem",
-    "apply_dirichlet",
-    "assemble_constraint",
-    "assemble_stabilizer",
-    "build_saddle",
-    "constant_coefficients",
-    "dump_system",
-    "stabilizer_energy",
-    "DomainSpec",
-    "Mesh",
-    "build_initial_mesh",
-    "dump_mesh",
-    "outward_normals",
-    "refine_uniform",
-    "QuadratureRule",
-    "edge_quadrature",
-    "project_edge",
-    "project_element",
-    "triangle_quadrature",
-    "ProblemSpec",
-    "builtin",
-    "catalog_names",
-    "cordes_check",
-    "cordes_samples",
-    "SolverError",
-    "WgSolution",
-    "solve",
-    "SpaceConfig",
-    "build_dof_map",
-    "interpolate_weak",
-    "lagrange_nodes",
-    "project_weak",
-    "weak_hessian_local",
-    "__version__",
-]
+__all__ = ["__version__", *analysis.__all__, *assembly.__all__, *mesh.__all__, *polyquad.__all__,
+           *problems.__all__, *solver.__all__, *wgspace.__all__]

@@ -24,9 +24,8 @@ usual rate.
 
 from __future__ import annotations
 
-import io
 import logging
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -67,8 +66,12 @@ __all__ = [
 
 log = logging.getLogger("pdwg")
 
-CSV_HEADER = "level,inv_h,e0,e0_order,eg,eg_order,gamma,gamma_order,e0_true,s_energy"
-LOGLOG_HEADER = "h,e0,eg,gamma"
+#: Columns of :meth:`ConvergenceTable.to_csv` and ``to_loglog_csv``, in
+#: order; each names a field of a row, ``inv_h``, ``h`` or an order.
+_CSV_COLUMNS = ("level", "inv_h", "e0", "e0_order", "eg", "eg_order", "gamma", "gamma_order",
+                "e0_true", "s_energy")
+_LOGLOG_COLUMNS = ("h", "e0", "eg", "gamma")
+CSV_HEADER, LOGLOG_HEADER = ",".join(_CSV_COLUMNS), ",".join(_LOGLOG_COLUMNS)
 
 
 @dataclass(frozen=True)
@@ -233,7 +236,8 @@ def _order(prev, cur):
 
 
 def _fmt(x):
-    return f"{x:.8g}"
+    """8 significant digits; an empty cell for a missing order."""
+    return "" if x is None else f"{x:.8g}"
 
 
 @dataclass(frozen=True)
@@ -263,42 +267,25 @@ class ConvergenceTable:
     def final_orders(self):
         return self.order_rows()[-1]
 
-    def to_csv(self, target=None):
-        """Serialize to CSV; write to ``target`` path/handle if given."""
-        buf = io.StringIO()
-        buf.write(CSV_HEADER + "\n")
+    def _write_csv(self, columns, target):
+        """CSV text of ``columns``, one line per row; written to ``target`` if given."""
+        lines = [",".join(columns)]
         for row, orders in zip(self.rows, self.order_rows()):
-            fields = [
-                str(row.level),
-                _fmt(row.inv_h),
-                _fmt(row.e0),
-                "" if orders["e0"] is None else _fmt(orders["e0"]),
-                _fmt(row.eg),
-                "" if orders["eg"] is None else _fmt(orders["eg"]),
-                _fmt(row.gamma),
-                "" if orders["gamma"] is None else _fmt(orders["gamma"]),
-                _fmt(row.e0_true),
-                _fmt(row.s_energy),
-            ]
-            buf.write(",".join(fields) + "\n")
-        text = buf.getvalue()
+            cells = {**asdict(row), "inv_h": row.inv_h, "h": row.h_max,
+                     **{f"{key}_order": r for key, r in orders.items()}}
+            lines.append(",".join(_fmt(cells[c]) for c in columns))
+        text = "\n".join(lines) + "\n"
         if target is not None:
             _write_text(text, target)
         return text
 
+    def to_csv(self, target=None):
+        """Serialize to CSV; write to ``target`` path/handle if given."""
+        return self._write_csv(_CSV_COLUMNS, target)
+
     def to_loglog_csv(self, target=None):
         """Plot-ready companion CSV with raw mesh sizes and errors."""
-        buf = io.StringIO()
-        buf.write(LOGLOG_HEADER + "\n")
-        for row in self.rows:
-            buf.write(
-                ",".join([_fmt(row.h_max), _fmt(row.e0), _fmt(row.eg), _fmt(row.gamma)])
-                + "\n"
-            )
-        text = buf.getvalue()
-        if target is not None:
-            _write_text(text, target)
-        return text
+        return self._write_csv(_LOGLOG_COLUMNS, target)
 
     def summary_lines(self):
         lines = []

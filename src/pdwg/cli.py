@@ -10,6 +10,7 @@ or basis failure.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from .analysis import run_study
@@ -83,6 +84,10 @@ def main(argv=None):
             parser.error("levels must be ≥ 2")
         if args.k < 2:
             parser.error("k must be ≥ 2")
+        for flag, path in (("--out", args.out), ("--dump-system", args.dump_system)):
+            folder = os.path.dirname(path or "") or "."
+            if path and not (os.path.isdir(folder) and os.access(folder, os.W_OK)):
+                parser.error(f"{flag}: cannot write to directory {folder!r}")
         try:
             problem = builtin(args.problem)
         except ValueError as exc:

@@ -7,9 +7,24 @@ import pytest
 
 import pdwg.polyquad
 from pdwg.analysis import run_study
+from pdwg.assembly import constant_coefficients, stabilizer_local_parts
 from pdwg.mesh import DomainSpec, build_initial_mesh, refine_uniform
-from pdwg.problems import builtin
-from pdwg.wgspace import SpaceConfig
+from pdwg.polyquad import (
+    GEOMETRY_EDGE_DEGREE,
+    edge_basis,
+    get_edge_rule,
+    get_tri_basis,
+    project_element,
+)
+from pdwg.problems import ProblemSpec, builtin
+from pdwg.wgspace import (
+    SpaceConfig,
+    apply_weak_hessian,
+    build_dof_map,
+    nodal_to_modal,
+    project_weak,
+    weak_hessian_local,
+)
 
 # When a hypothesis test fails, the hypothesis plugin imports this module to
 # write a patch for the failing example.  With libcst installed, that import
@@ -54,6 +69,88 @@ def assert_bitwise_equal(got, want):
 def owned_size(arr):
     """Entries of the array that holds the memory of ``arr``."""
     return (arr if arr.base is None else arr.base).size
+
+
+def quadratic_problem():
+    """u = x^2 + y^2 with the identity tensor, so f = 4."""
+    return ProblemSpec(
+        name="quadratic",
+        domain=DomainSpec("unit_square"),
+        coeff=constant_coefficients([[1.0, 0.0], [0.0, 1.0]]),
+        f=lambda x, y, region=None: np.full(np.broadcast(x, y).shape, 4.0),
+        g=lambda x, y: x**2 + y**2,
+        exact_u=lambda x, y: x**2 + y**2,
+        exact_grad_u=lambda x, y: np.stack([2.0 * x, 2.0 * y]),
+    )
+
+
+def weak_hessian_commutation_error(mesh, multiplier_space):
+    """Largest ``|D_ij Q w - P d_ij w|`` for ``w = sin x sin y``, general variant, k = 2.
+
+    ``Q w`` is the projected weak function of ``w`` and ``P`` the L2
+    projection onto the multiplier space; the second derivatives are
+    written out here, independently of the problem catalog.
+    """
+    w = lambda x, y: np.sin(x) * np.sin(y)
+    grad = lambda x, y: np.stack([np.cos(x) * np.sin(y), np.sin(x) * np.cos(y)])
+    second = {
+        (1, 1): lambda x, y: -np.sin(x) * np.sin(y),
+        (1, 2): lambda x, y: np.cos(x) * np.cos(y),
+        (2, 1): lambda x, y: np.cos(x) * np.cos(y),
+        (2, 2): lambda x, y: -np.sin(x) * np.sin(y),
+    }
+    config = SpaceConfig(k=2, multiplier_space=multiplier_space, c0_type=False)
+    hess = weak_hessian_local(mesh, config)
+    local = build_dof_map(mesh, config).local_vectors(project_weak(mesh, config, w, grad))
+    return max(
+        float(np.max(np.abs(apply_weak_hessian(local, hess, i, j)
+                            - project_element(d2, config.mult_degree, mesh))))
+        for (i, j), d2 in second.items()
+    )
+
+
+def c0_to_general_operator(mesh, k):
+    """Per-element ``P_T`` (nt, nloc general, nloc C0) taking C0 local vectors to general ones.
+
+    ``v0`` is the modal form of the nodal values, each ``vb`` block the
+    L2 projection of the ``v0`` trace on that edge in the global edge
+    orientation, and each ``vg`` block is copied.
+    """
+    c0, gen = SpaceConfig(k=k, c0_type=True), SpaceConfig(k=k, c0_type=False)
+    trans = nodal_to_modal(mesh, k)
+    g = mesh.tri_edges
+    pe, we, t = get_edge_rule(mesh, GEOMETRY_EDGE_DEGREE(k), g)
+    trace = np.einsum("etqm,etq,etqn->etmn", edge_basis(mesh, k, t, g), we,
+                      get_tri_basis(mesh, k).eval(pe), optimize=True)
+    P = np.zeros((mesh.n_triangles, gen.nloc, c0.nloc))
+    P[:, gen.v0, c0.v0] = trans
+    for ledge in range(3):
+        P[:, gen.vb(ledge), c0.v0] = trace[:, ledge] @ trans
+        for comp in (0, 1):
+            P[:, gen.vg(ledge, comp), c0.vg(ledge, comp)] = np.eye(c0.ng)
+    return P
+
+
+def assert_c0_operators_are_general_on_traces(mesh, k, multiplier_space, rtol=1e-12):
+    """Assert ``S_c0 = P^T S_gen P`` and ``H_c0 = H_gen P`` to ``rtol`` relative.
+
+    The C0 space is the general space with ``vb`` the trace of ``v0``, so
+    its local stabilizer and weak Hessians are the general ones seen
+    through ``P_T`` (:func:`c0_to_general_operator`).
+    """
+    c0 = SpaceConfig(k=k, multiplier_space=multiplier_space, c0_type=True)
+    gen = SpaceConfig(k=k, multiplier_space=multiplier_space, c0_type=False)
+    P = c0_to_general_operator(mesh, k)
+
+    def assert_close(got, want):
+        assert np.abs(got - want).max() <= rtol * np.abs(want).max()
+
+    S_gen = stabilizer_local_parts(mesh, build_dof_map(mesh, gen))
+    S_c0 = stabilizer_local_parts(mesh, build_dof_map(mesh, c0))
+    assert_close(np.swapaxes(P, 1, 2) @ S_gen @ P, S_c0)
+    h_gen, h_c0 = weak_hessian_local(mesh, gen), weak_hessian_local(mesh, c0)
+    for ij in ((1, 1), (1, 2), (2, 1), (2, 2)):
+        assert_close(h_gen[ij] @ P, h_c0[ij])
 
 
 def mesh_hierarchy(kind, levels):

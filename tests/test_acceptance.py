@@ -21,17 +21,11 @@ from pdwg.assembly import (
     stabilizer_energy,
 )
 from pdwg.mesh import DomainSpec, build_initial_mesh, refine_uniform
-from pdwg.problems import ProblemSpec, builtin, cordes_check, cordes_samples
+from pdwg.problems import builtin, cordes_check, cordes_samples
 from pdwg.solver import solve
-from pdwg.wgspace import (
-    SpaceConfig,
-    apply_weak_hessian,
-    build_dof_map,
-    interpolate_weak,
-    project_weak,
-    weak_hessian_local,
-)
-from pdwg.polyquad import project_element
+from pdwg.wgspace import SpaceConfig, build_dof_map, interpolate_weak, project_weak
+
+from conftest import mesh_hierarchy, quadratic_problem, weak_hessian_commutation_error
 
 
 def _verdict(tag, ok, detail):
@@ -164,28 +158,8 @@ def test_c6_singular_solution_rates(study_cache):
 
 def test_c7a_weak_hessian_commutes():
     t0 = time.perf_counter()
-    mesh = build_initial_mesh(DomainSpec("unit_square"))
-    for _ in range(3):
-        mesh = refine_uniform(mesh)
-    w = lambda x, y: np.sin(x) * np.sin(y)
-    gw = lambda x, y: np.stack([np.cos(x) * np.sin(y), np.sin(x) * np.cos(y)])
-    second = {
-        (1, 1): lambda x, y: -np.sin(x) * np.sin(y),
-        (1, 2): lambda x, y: np.cos(x) * np.cos(y),
-        (2, 1): lambda x, y: np.cos(x) * np.cos(y),
-        (2, 2): lambda x, y: -np.sin(x) * np.sin(y),
-    }
-    worst = 0.0
-    for mult in ("pkm1", "pkm2"):
-        config = SpaceConfig(k=2, multiplier_space=mult, c0_type=False)
-        dofmap = build_dof_map(mesh, config)
-        v = project_weak(mesh, config, w, gw)
-        hess = weak_hessian_local(mesh, config)
-        local = dofmap.local_vectors(v)
-        for (i, j), d2 in second.items():
-            weak = apply_weak_hessian(local, hess, i, j)
-            projected = project_element(d2, config.mult_degree, mesh)
-            worst = max(worst, float(np.max(np.abs(weak - projected))))
+    mesh = mesh_hierarchy("unit_square", 3)[-1]
+    worst = max(weak_hessian_commutation_error(mesh, mult) for mult in ("pkm1", "pkm2"))
     elapsed = time.perf_counter() - t0
     ok = worst <= 1e-10 and elapsed < 10.0
     _verdict("C7a commutativity", ok, f"max discrepancy {worst:.2e} <= 1e-10, {elapsed:.1f}s < 10s")
@@ -193,15 +167,7 @@ def test_c7a_weak_hessian_commutes():
 
 def test_c7b_quadratic_exactness():
     t0 = time.perf_counter()
-    prob = ProblemSpec(
-        name="quadratic",
-        domain=DomainSpec("unit_square"),
-        coeff=constant_coefficients([[1.0, 0.0], [0.0, 1.0]]),
-        f=lambda x, y, region=None: np.full(np.broadcast(x, y).shape, 4.0),
-        g=lambda x, y: x**2 + y**2,
-        exact_u=lambda x, y: x**2 + y**2,
-        exact_grad_u=lambda x, y: np.stack([2.0 * x, 2.0 * y]),
-    )
+    prob = quadratic_problem()
     mesh = refine_uniform(build_initial_mesh(prob.domain))
     worst_e0, worst_gamma = 0.0, 0.0
     for c0 in (True, False):

@@ -18,7 +18,6 @@ from pdwg.analysis import (
     run_study,
 )
 from pdwg.assembly import build_saddle, constant_coefficients, stabilizer_energy
-from pdwg.mesh import DomainSpec
 from pdwg.polyquad import (
     eval_edge_poly,
     eval_element_poly,
@@ -27,23 +26,11 @@ from pdwg.polyquad import (
     project_edge,
     project_element,
 )
-from pdwg.problems import ProblemSpec, builtin
+from pdwg.problems import builtin
 from pdwg.solver import solve
 from pdwg.wgspace import SpaceConfig, interpolate_weak, project_weak
 
-from conftest import CHUNKS
-
-
-def quadratic_problem():
-    return ProblemSpec(
-        name="quadratic",
-        domain=DomainSpec("unit_square"),
-        coeff=constant_coefficients([[1.0, 0.0], [0.0, 1.0]]),
-        f=lambda x, y, region=None: np.full(np.broadcast(x, y).shape, 4.0),
-        g=lambda x, y: x**2 + y**2,
-        exact_u=lambda x, y: x**2 + y**2,
-        exact_grad_u=lambda x, y: np.stack([2.0 * x, 2.0 * y]),
-    )
+from conftest import CHUNKS, quadratic_problem
 
 
 # -- interpolants ---------------------------------------------------------------
@@ -293,7 +280,8 @@ def test_order_rows_first_row_empty(small_table):
 def test_csv_format(small_table, tmp_path):
     text = small_table.to_csv()
     lines = text.strip().split("\n")
-    assert lines[0] == CSV_HEADER
+    # The schema README documents and perfbench's reference records.
+    assert lines[0] == CSV_HEADER == "level,inv_h,e0,e0_order,eg,eg_order,gamma,gamma_order,e0_true,s_energy"
     assert len(lines) == 1 + len(small_table.rows)
     first = lines[1].split(",")
     assert first[0] == "0"
@@ -313,7 +301,7 @@ def test_csv_format(small_table, tmp_path):
 def test_loglog_csv_format(small_table, tmp_path):
     text = small_table.to_loglog_csv()
     lines = text.strip().split("\n")
-    assert lines[0] == LOGLOG_HEADER
+    assert lines[0] == LOGLOG_HEADER == "h,e0,eg,gamma"
     assert len(lines) == 1 + len(small_table.rows)
     h = [float(line.split(",")[0]) for line in lines[1:]]
     assert h[0] == pytest.approx(2.0 * h[1])

@@ -8,6 +8,7 @@ from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import pdwg
 import pdwg.cli
@@ -43,6 +44,18 @@ def test_requires_problem(capsys):
 def test_rejects_unknown_multiplier(capsys):
     assert main(["--problem", "p1", "--multiplier", "p7"]) == 2
     assert main(["--problem", "p1", "--multiplier", "auto"]) == 2
+
+
+@pytest.mark.parametrize("flag", ["--out", "--dump-system"])
+def test_rejects_output_in_missing_directory(flag, tmp_path, monkeypatch, capsys):
+    # Checked with the flags, before any study runs or any file is written.
+    monkeypatch.setattr(pdwg.cli, "run_study", lambda *a, **kw: pytest.fail("study ran"))
+    missing = tmp_path / "missing"
+    argv = ["--problem", "p1", "--levels", "2", "--out", str(tmp_path / "study.csv")]
+    assert main(argv + [flag, str(missing / "x.csv")]) == 2
+    err = capsys.readouterr().err
+    assert f"{flag}: cannot write to directory {str(missing)!r}" in err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_parser_defaults():

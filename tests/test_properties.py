@@ -5,8 +5,9 @@ reference triangle) and checks a convention of :mod:`pdwg.polyquad`
 against an independent reference: rule exactness against Green's
 theorem on 1D Gauss rules, and the orthonormality and reproduction
 properties the bases promise.  On the same triangles, the weak Hessian
-of a quadratic's weak function is its constant Hessian, and the
-stabilizer vanishes on polynomials of degree k.  Refinement invariants
+of a quadratic's weak function is its constant Hessian, the stabilizer
+vanishes on polynomials of degree k, and the C0 operators are the
+general ones seen through the C0-to-general map.  Refinement invariants
 are checked on the built-in domains and on random triangles.
 """
 
@@ -34,6 +35,8 @@ from pdwg.wgspace import (
     project_weak,
     weak_hessian_local,
 )
+
+from conftest import assert_c0_operators_are_general_on_traces
 
 PROPERTY = settings(max_examples=25, deadline=None, database=None)
 
@@ -210,6 +213,18 @@ def test_stabilizer_vanishes_on_polynomials_of_degree_k(mesh, config, data):
     v = _weak_function(mesh, config, u, grad_u)
     energy = stabilizer_energy(mesh, build_dof_map(mesh, config), v)
     assert 0.0 <= energy <= 1e-20 * (v @ v) / h**2
+
+
+@PROPERTY
+@given(triangles(), st.integers(2, 3), st.sampled_from(["pkm1", "pkm2"]))
+def test_c0_operators_are_general_operators_on_random_triangles(mesh, k, multiplier_space):
+    # S_c0 = P^T S_gen P and H_c0 = H_gen P, with P_T the C0-to-general map.
+    # Rules and bases are evaluated at absolute coordinates, so H loses the
+    # digits of |x| / h: about 6e-15 |x| / h relative on small triangles far
+    # from the origin (2e-12 at |x| / h = 364).  S keeps 1e-15.
+    offset = np.abs(mesh.vertices).max() / mesh.h_max
+    rtol = max(1e-12, 100 * np.finfo(float).eps * offset)
+    assert_c0_operators_are_general_on_traces(mesh, k, multiplier_space, rtol)
 
 
 DOMAIN_MESHES = st.sampled_from(["unit_square", "ref_square", "l_shape"]).map(

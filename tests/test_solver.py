@@ -14,25 +14,14 @@ from pdwg.problems import ProblemSpec, builtin
 from pdwg.solver import RESIDUAL_RTOL, SolverError, WgSolution, _eliminate, solve
 from pdwg.wgspace import SpaceConfig, build_dof_map
 
+from conftest import quadratic_problem
+
 ALL_VARIANTS = [
     SpaceConfig(k=2, multiplier_space="pkm1", c0_type=True),
     SpaceConfig(k=2, multiplier_space="pkm2", c0_type=True),
     SpaceConfig(k=2, multiplier_space="pkm1", c0_type=False),
     SpaceConfig(k=2, multiplier_space="pkm2", c0_type=False),
 ]
-
-
-def quadratic_problem():
-    """u = x^2 + y^2 with the identity tensor, so f = 4."""
-    return ProblemSpec(
-        name="quadratic",
-        domain=DomainSpec("unit_square"),
-        coeff=constant_coefficients([[1.0, 0.0], [0.0, 1.0]]),
-        f=lambda x, y, region=None: np.full(np.broadcast(x, y).shape, 4.0),
-        g=lambda x, y: x**2 + y**2,
-        exact_u=lambda x, y: x**2 + y**2,
-        exact_grad_u=lambda x, y: np.stack([2.0 * x, 2.0 * y]),
-    )
 
 
 def l2_error_u0(sol, mesh, exact, degree=8):

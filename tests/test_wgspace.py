@@ -5,15 +5,7 @@ import pytest
 
 from pdwg.assembly import stabilizer_local_parts
 from pdwg.mesh import Mesh, build_initial_mesh, DomainSpec
-from pdwg.polyquad import (
-    GEOMETRY_EDGE_DEGREE,
-    _chunks,
-    edge_basis,
-    get_edge_rule,
-    get_element_rule,
-    get_tri_basis,
-    project_element,
-)
+from pdwg.polyquad import _chunks, get_element_rule, get_tri_basis, project_element
 from pdwg.problems import builtin
 from pdwg.wgspace import (
     SpaceConfig,
@@ -26,7 +18,14 @@ from pdwg.wgspace import (
     weak_hessian_local,
 )
 
-from conftest import CHUNKS, assert_bitwise_equal
+from conftest import (
+    CHUNKS,
+    assert_bitwise_equal,
+    assert_c0_operators_are_general_on_traces,
+    c0_to_general_operator,
+    mesh_hierarchy,
+    weak_hessian_commutation_error,
+)
 
 
 def one_triangle_mesh():
@@ -217,53 +216,14 @@ def test_weak_hessian_quadratic_exactness(unit_meshes, c0, ms):
 def test_weak_hessian_commutativity(ms):
     # Projected smooth data: weak Hessian of the projection equals the
     # projected true Hessian, coefficient by coefficient.
-    mesh = build_initial_mesh(DomainSpec("unit_square"))
-    for _ in range(3):
-        mesh = refine(mesh)
-    w = lambda x, y: np.sin(x) * np.sin(y)
-    grad = lambda x, y: np.stack([np.cos(x) * np.sin(y), np.sin(x) * np.cos(y)])
-    d2 = {
-        (1, 1): lambda x, y: -np.sin(x) * np.sin(y),
-        (1, 2): lambda x, y: np.cos(x) * np.cos(y),
-        (2, 1): lambda x, y: np.cos(x) * np.cos(y),
-        (2, 2): lambda x, y: -np.sin(x) * np.sin(y),
-    }
-    config = SpaceConfig(k=2, multiplier_space=ms, c0_type=False)
-    dm = build_dof_map(mesh, config)
-    hess = weak_hessian_local(mesh, config)
-    local = dm.local_vectors(project_weak(mesh, config, w, grad))
-    for (i, j), fn in d2.items():
-        got = apply_weak_hessian(local, hess, i, j)
-        ref = project_element(fn, config.mult_degree, mesh)
-        assert np.abs(got - ref).max() <= 1e-10
+    mesh = mesh_hierarchy("unit_square", 3)[-1]
+    assert weak_hessian_commutation_error(mesh, ms) <= 1e-10
 
 
 def refine(mesh):
     from pdwg.mesh import refine_uniform
 
     return refine_uniform(mesh)
-
-
-def c0_to_general_operator(mesh, k):
-    """Per-element ``P_T`` (nt, nloc general, nloc C0) taking C0 local vectors to general ones.
-
-    ``v0`` is the modal form of the nodal values, each ``vb`` block the
-    L2 projection of the ``v0`` trace on that edge in the global edge
-    orientation, and each ``vg`` block is copied.
-    """
-    c0, gen = SpaceConfig(k=k, c0_type=True), SpaceConfig(k=k, c0_type=False)
-    trans = nodal_to_modal(mesh, k)
-    g = mesh.tri_edges
-    pe, we, t = get_edge_rule(mesh, GEOMETRY_EDGE_DEGREE(k), g)
-    trace = np.einsum("etqm,etq,etqn->etmn", edge_basis(mesh, k, t, g), we,
-                      get_tri_basis(mesh, k).eval(pe), optimize=True)
-    P = np.zeros((mesh.n_triangles, gen.nloc, c0.nloc))
-    P[:, gen.v0, c0.v0] = trans
-    for ledge in range(3):
-        P[:, gen.vb(ledge), c0.v0] = trace[:, ledge] @ trans
-        for comp in (0, 1):
-            P[:, gen.vg(ledge, comp), c0.vg(ledge, comp)] = np.eye(c0.ng)
-    return P
 
 
 def c0_to_general_local(mesh, primal, config_c0):
@@ -297,23 +257,8 @@ def test_weak_hessian_c0_general_agreement(unit_meshes, rng):
     ("p1", 2, "pkm1"), ("p1", 3, "pkm1"), ("p3", 3, "pkm2"), ("p5ref", 4, "pkm1"),
 ])
 def test_c0_operators_are_general_operators_on_traces(name, k, ms):
-    # The C0 space is the general space with vb the trace of v0, so its
-    # local stabilizer and weak Hessians are the general ones seen through
-    # P_T: S_c0 = P^T S_gen P and H_c0 = H_gen P.
     mesh = refine(build_initial_mesh(builtin(name).domain))
-    c0 = SpaceConfig(k=k, multiplier_space=ms, c0_type=True)
-    gen = SpaceConfig(k=k, multiplier_space=ms, c0_type=False)
-    P = c0_to_general_operator(mesh, k)
-
-    def assert_close(got, want):
-        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
-
-    S_gen = stabilizer_local_parts(mesh, build_dof_map(mesh, gen))
-    S_c0 = stabilizer_local_parts(mesh, build_dof_map(mesh, c0))
-    assert_close(np.swapaxes(P, 1, 2) @ S_gen @ P, S_c0)
-    h_gen, h_c0 = weak_hessian_local(mesh, gen), weak_hessian_local(mesh, c0)
-    for ij in ((1, 1), (1, 2), (2, 1), (2, 2)):
-        assert_close(h_gen[ij] @ P, h_c0[ij])
+    assert_c0_operators_are_general_on_traces(mesh, k, ms)
 
 
 def test_weak_hessian_geometry_only(unit_meshes):
