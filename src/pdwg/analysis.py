@@ -34,7 +34,7 @@ from .mesh import _write_text, build_initial_mesh, refine_uniform
 from .polyquad import (
     GEOMETRY_TRI_DEGREE,
     _edge_points,
-    _finite,
+    _evaluate,
     _for_chunks,
     edge_basis,
     eval_element_poly,
@@ -96,7 +96,7 @@ class LevelErrors:
 def lagrange_interpolant(u, mesh, k):
     """Orthonormal coefficients of the degree-``k`` Lagrange interpolant."""
     nodes = lagrange_nodes(mesh, k)
-    values = _finite(u(nodes.coords[:, 0], nodes.coords[:, 1]))
+    values = _evaluate(u, nodes.coords[:, 0], nodes.coords[:, 1])
     return _modal_coefficients(mesh, k, values[nodes.element_nodes])
 
 
@@ -112,7 +112,7 @@ def edge_gradient_interpolant(grad_u, mesh, degree):
     """
     t_nodes = np.linspace(-1.0, 1.0, degree + 1)
     pts = _edge_points(mesh, t_nodes)
-    vals = _finite(grad_u(pts[..., 0], pts[..., 1]), "gradient")  # (2, ne, deg+1)
+    vals = _evaluate(grad_u, pts[..., 0], pts[..., 1], "gradient")  # (2, ne, deg+1)
     coef = np.linalg.solve(edge_basis(mesh, degree, t_nodes), np.transpose(vals, (1, 2, 0)))
     return np.transpose(coef, (0, 2, 1))
 
@@ -142,7 +142,7 @@ def error_norms(sol, problem):
     def chunk(e):
         pts, w = get_element_rule(mesh, qd, e)
         uh = eval_element_poly(mesh, k, u0[e], pts, elements=e)
-        diff = uh - _finite(problem.exact_u(pts[..., 0], pts[..., 1]))
+        diff = uh - _evaluate(problem.exact_u, pts[..., 0], pts[..., 1], "exact solution")
         sq[e] = w * diff**2
 
     _for_chunks(nt, chunk)

@@ -33,7 +33,7 @@ from .mesh import _write_text
 from .polyquad import (
     GEOMETRY_EDGE_DEGREE,
     GEOMETRY_TRI_DEGREE,
-    _finite,
+    _evaluate,
     _for_chunks,
     edge_basis,
     edge_quadrature,
@@ -69,31 +69,27 @@ class CoefficientField:
     Entries are vectorized evaluators called as ``a(x, y, region=region)``;
     ``region`` carries the element region tags so that tensors jumping
     across region interfaces are evaluated by tag, never by the sign of a
-    near-interface point.  ``a12`` serves as both off-diagonal entries,
+    near-interface point.  An entry may return a scalar or any array that
+    broadcasts to ``x``.  ``a12`` serves as both off-diagonal entries,
     so the tensor is symmetric by construction.  Assembly calls the
     entries, and the source ``f``, on one chunk of elements at a time
     from several threads at once, so they must be pointwise, the value
     at a point depending only on its coordinates and region tag and not
     on the other points of the call, and must not change shared state.
-
-    ``bounds`` optionally records ellipticity constants ``(alpha, beta)``
-    with ``alpha |xi|^2 <= xi.a.xi <= beta |xi|^2``.
     """
 
     a11: object
     a12: object
     a22: object
-    bounds: tuple | None = None
 
     def entries(self, x, y, region=None):
         """Evaluate all four entries, broadcast over the inputs.
 
         ``"12"`` and ``"21"`` are the same array, from one call of ``a12``.
         """
-        shape = np.broadcast(x, y).shape
         a11, a12, a22 = (
-            np.broadcast_to(_finite(fn(x, y, region=region), "coefficient"), shape)
-            for fn in (self.a11, self.a12, self.a22)
+            _evaluate(getattr(self, name), x, y, f"coefficient {name}", region=region)
+            for name in ("a11", "a12", "a22")
         )
         return {"11": a11, "12": a12, "21": a12, "22": a22}
 
@@ -103,17 +99,11 @@ def constant_coefficients(matrix):
     m = np.asarray(matrix, dtype=float)
     if m.shape != (2, 2) or not np.isclose(m[0, 1], m[1, 0]):
         raise ValueError("expected a symmetric 2x2 matrix")
-    eig = np.linalg.eigvalsh(m)
 
     def entry(v):
-        return lambda x, y, region=None: np.full(np.broadcast(x, y).shape, v)
+        return lambda x, y, region=None: v
 
-    return CoefficientField(
-        a11=entry(m[0, 0]),
-        a12=entry(m[0, 1]),
-        a22=entry(m[1, 1]),
-        bounds=(float(eig[0]), float(eig[1])),
-    )
+    return CoefficientField(a11=entry(m[0, 0]), a12=entry(m[0, 1]), a22=entry(m[1, 1]))
 
 
 @dataclass(frozen=True, eq=False)
@@ -397,8 +387,7 @@ def assemble_constraint(mesh, dofmap, coeff, f, quad_degree):
         for (i, j), H in weak_hessian_local(mesh, config, e).items():
             B_local[e] += M[f"{min(i, j)}{max(i, j)}"] @ H
 
-        fvals = _finite(f(x, y, region=region[e]), "right-hand side")
-        fvals = np.broadcast_to(fvals, x.shape)
+        fvals = _evaluate(f, x, y, "right-hand side", region=region[e])
         F_local[e] = np.einsum("eqn,eq,eq->en", VS, fvals, w, optimize=True)
 
     _for_chunks(nt, chunk)
@@ -428,11 +417,11 @@ def apply_dirichlet(dofmap, mesh, g, quad_degree):
     values = np.zeros(dofmap.constrained.shape[0])
     if dofmap.config.c0_type:
         coords = dofmap.nodes.coords[dofmap.constrained]
-        values[:] = _finite(g(coords[:, 0], coords[:, 1]), "boundary data")
+        values[:] = _evaluate(g, coords[:, 0], coords[:, 1], "boundary data")
     else:
         bedges = mesh.boundary_edges
         pts, w, t = get_edge_rule(mesh, max(quad_degree, GEOMETRY_EDGE_DEGREE(k)), bedges)
-        gvals = _finite(g(pts[..., 0], pts[..., 1]), "boundary data")
+        gvals = _evaluate(g, pts[..., 0], pts[..., 1], "boundary data")
         X = edge_basis(mesh, k, t, bedges)
         values[:] = np.einsum("eqn,eq,eq->en", X, gvals, w, optimize=True).ravel()
     return values

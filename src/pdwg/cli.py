@@ -4,7 +4,7 @@
 uniformly refined meshes, prints one summary line per level, and writes
 the convergence table as CSV (plus a plot-ready ``*.loglog.csv``
 companion).  Exit codes: 0 on success, 2 on bad flags, 3 on a solver
-or basis failure.
+or basis failure, a factorization that runs out of memory included.
 """
 
 from __future__ import annotations

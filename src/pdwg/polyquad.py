@@ -18,7 +18,8 @@ edge bases are computed per call for the elements or edges asked.
 
 Other modules call, never restate, the conventions owned here: the
 reference rules (one per degree), the reference triangle's affine map
-(:func:`_affine_map`) and the edge bases (:func:`edge_basis`).
+(:func:`_affine_map`), the edge bases (:func:`edge_basis`) and the one
+call of problem data (:func:`_evaluate`).
 
 Work at quadrature resolution (basis values at element quadrature
 points, mapped rules, function values) runs over one chunk of
@@ -97,12 +98,22 @@ _CHUNKS_PER_THREAD = 16
 _running = threading.local()
 
 
-def _finite(vals, what="function"):
-    """``vals`` as a float array; ``ValueError`` if an entry is not finite."""
-    vals = np.asarray(vals, dtype=float)
+def _evaluate(fn, x, y, what="function", **region):
+    """Values of the problem data ``fn`` at the points ``(x, y)``, broadcast to their shape.
+
+    The one way the package calls a data callable: ``fn(x, y)``, or
+    ``fn(x, y, region=tags)`` when ``region`` is given (the tensor
+    entries and ``f``).  ``fn`` may return a scalar or any array that
+    broadcasts to the points' shape; a gradient stacks its two
+    components on a leading axis and is broadcast to ``(2,) + shape``.
+    The result is a read-only view, so no value is copied or changed.
+    ``ValueError`` naming ``what`` if a value is not finite.
+    """
+    shape = np.broadcast(x, y).shape
+    vals = np.asarray(fn(x, y, **region), dtype=float)
     if not np.all(np.isfinite(vals)):
         raise ValueError(f"{what} evaluation returned a non-finite value")
-    return vals
+    return np.broadcast_to(vals, (2,) + shape if vals.ndim > len(shape) else shape)
 
 
 def _chunks(nt):
@@ -442,7 +453,8 @@ def project_element(f, degree, mesh, quad_degree=None):
     Parameters
     ----------
     f : callable
-        Vectorized ``f(x, y)`` over coordinate arrays.  It is called on
+        Vectorized ``f(x, y)`` over coordinate arrays; it may return a
+        scalar or any array that broadcasts to them.  It is called on
         one chunk of elements at a time, from several threads at once
         (see :func:`_for_chunks`), so it must be pointwise, the value at
         a point depending only on that point's coordinates, and must not
@@ -466,7 +478,7 @@ def project_element(f, degree, mesh, quad_degree=None):
 
     def chunk(e):
         pts, w = get_element_rule(mesh, qd, e)
-        vals = _finite(f(pts[..., 0], pts[..., 1]))
+        vals = _evaluate(f, pts[..., 0], pts[..., 1])
         V = basis.eval(pts, elements=e)
         out[e] = np.einsum("eqn,eq,eq->en", V, vals, w, optimize=True)
 
@@ -477,19 +489,18 @@ def project_element(f, degree, mesh, quad_degree=None):
 def project_edge(f, degree, mesh, quad_degree=None):
     """L2 projection of ``f`` onto ``P_degree`` of every edge.
 
-    ``f(x, y)`` may return values shaped like ``x`` (scalar field) or
-    with one extra leading axis of size 2 (vector field, e.g. a
-    gradient).  Returns coefficients shaped (ne, dim) or (ne, 2, dim).
+    ``f(x, y)`` may return a scalar field (a scalar or any array that
+    broadcasts to ``x``) or a vector field, e.g. a gradient, stacked on
+    one extra leading axis of size 2.  Returns coefficients shaped
+    (ne, dim) or (ne, 2, dim).
     """
     qd = quad_degree if quad_degree is not None else max(2 * degree + 2, DATA_DEGREE_DEFAULT)
     pts, w, t = get_edge_rule(mesh, qd)
-    vals = _finite(f(pts[..., 0], pts[..., 1]))
+    vals = _evaluate(f, pts[..., 0], pts[..., 1])
     X = edge_basis(mesh, degree, t)
-    if vals.shape == pts[..., 0].shape:
+    if vals.ndim == w.ndim:
         return np.einsum("eqn,eq,eq->en", X, vals, w, optimize=True)
-    if vals.shape == (2,) + pts[..., 0].shape:
-        return np.einsum("eqn,ceq,eq->ecn", X, vals, w, optimize=True)
-    raise ValueError(f"unexpected shape {vals.shape} from edge function evaluation")
+    return np.einsum("eqn,ceq,eq->ecn", X, vals, w, optimize=True)
 
 
 def eval_element_poly(mesh, degree, coeffs, pts, dx=0, dy=0, elements=slice(None)):

@@ -71,15 +71,12 @@ class CordesReport:
     ``(sum_ij a_ij^2) / (trace a)^2 <= 1 / (1 + eps)`` for some
     ``eps`` in (0, 1]; ``epsilon`` below is the largest such value,
     computed from the sampled supremum of the left-hand side.
-    ``ellipticity_epsilon`` is the lower bound ``alpha / (2 beta -
-    alpha)`` implied by recorded ellipticity constants, when available.
     """
 
     ratio_sup: float
     epsilon: float
     satisfied: bool
     worst_point: tuple
-    ellipticity_epsilon: float | None = None
     message: str = ""
 
 
@@ -107,17 +104,11 @@ def cordes_check(coeff, x, y, region=None):
     worst = int(np.argmin(eps_pt.ravel()))
     ratio_sup = float(np.max(ratio))
     epsilon = float(eps_pt.ravel()[worst])
-    ell = None
-    if coeff.bounds is not None:
-        alpha, beta = coeff.bounds
-        if alpha > 0:
-            ell = alpha / (2.0 * beta - alpha)
     return CordesReport(
         ratio_sup=ratio_sup,
         epsilon=epsilon,
         satisfied=epsilon > 0.0,
         worst_point=(float(x.ravel()[worst]), float(y.ravel()[worst])),
-        ellipticity_epsilon=ell,
     )
 
 
@@ -184,7 +175,7 @@ def _p3():
     return ProblemSpec(
         name="p3",
         domain=DomainSpec("ref_square"),
-        coeff=CoefficientField(a11=a11, a12=a12, a22=a22, bounds=None),
+        coeff=CoefficientField(a11=a11, a12=a12, a22=a22),
         f=f,
         g=_sin_sin,
         exact_u=_sin_sin,
@@ -213,11 +204,11 @@ def _p4():
         return (2.0 - np.abs(t)) * np.exp(1.0 - np.abs(t))
 
     def a11(x, y, region=None):
-        return np.full(np.broadcast(x, y).shape, 2.0)
+        return 2.0
 
     def a12(x, y, region=None):
         s1, s2 = _signs(x, y, region)
-        return np.broadcast_to(s1 * s2, np.broadcast(x, y).shape)
+        return s1 * s2
 
     def u(x, y):
         return phi(x) * phi(y)
@@ -236,7 +227,7 @@ def _p4():
     return ProblemSpec(
         name="p4",
         domain=DomainSpec("ref_square"),
-        coeff=CoefficientField(a11=a11, a12=a12, a22=a11, bounds=(1.0, 3.0)),
+        coeff=CoefficientField(a11=a11, a12=a12, a22=a11),
         f=f,
         g=u,
         exact_u=u,
@@ -284,7 +275,7 @@ def _p5(name, domain_kind, description):
     return ProblemSpec(
         name=name,
         domain=DomainSpec(domain_kind),
-        coeff=CoefficientField(a11=a11, a12=a12, a22=a22, bounds=(1.0, 2.0)),
+        coeff=CoefficientField(a11=a11, a12=a12, a22=a22),
         f=f,
         g=u,
         exact_u=u,

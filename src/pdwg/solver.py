@@ -4,8 +4,9 @@ The reduced system, the blocks ``S`` and ``B`` with the constrained DOFs
 eliminated symmetrically, is symmetric indefinite; it is factorized with
 a sparse LU (SuperLU), with one step of iterative refinement, and the
 relative algebraic residual is verified against a hard tolerance.
-Failure to factorize, a non-finite solution, or a residual above
-tolerance raise :class:`SolverError` naming the suspect block and the
+Failure to factorize, a factorization that runs out of memory, a
+non-finite solution, or a residual above tolerance raise
+:class:`SolverError` naming the suspect block or the cause and the
 sizes of the reduced system and, once computed, of its factors.
 """
 
@@ -107,6 +108,11 @@ def solve(system):
             "sparse factorization failed: the saddle system is singular or "
             "numerically rank-deficient; the constraint block B is the usual "
             f"suspect (mesh too coarse for the multiplier space); {sizes}"
+        ) from exc
+    except MemoryError as exc:
+        raise SolverError(
+            "sparse factorization ran out of memory: the LU factors of K_red "
+            f"do not fit; {sizes}"
         ) from exc
     sizes += f", L+U nnz {lu.nnz}"
     x = lu.solve(rhs_red)

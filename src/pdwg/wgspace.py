@@ -43,7 +43,7 @@ from .polyquad import (
     GEOMETRY_EDGE_DEGREE,
     GEOMETRY_TRI_DEGREE,
     _affine_map,
-    _finite,
+    _evaluate,
     _for_chunks,
     edge_basis,
     get_edge_rule,
@@ -457,6 +457,6 @@ def interpolate_weak(mesh, config, w, grad_w):
     dof = build_dof_map(mesh, config)
     coords = dof.nodes.coords
     primal = np.zeros(dof.n_primal)
-    primal[: dof.n_v0] = _finite(w(coords[:, 0], coords[:, 1]))
+    primal[: dof.n_v0] = _evaluate(w, coords[:, 0], coords[:, 1])
     primal[dof.vg_base :] = project_edge(grad_w, config.k - 1, mesh).ravel()
     return primal

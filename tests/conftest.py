@@ -1,11 +1,13 @@
 """Shared fixtures (mesh hierarchies, a session-wide study cache) and helpers."""
 
+import types
 import warnings
 
 import numpy as np
 import pytest
 
 import pdwg.polyquad
+import pdwg.solver
 from pdwg.analysis import run_study
 from pdwg.assembly import constant_coefficients, stabilizer_local_parts
 from pdwg.mesh import DomainSpec, build_initial_mesh, refine_uniform
@@ -218,6 +220,16 @@ def set_chunk(monkeypatch):
 def set_workers(monkeypatch):
     """Set the number of threads that run the chunks of one loop, for one test."""
     return lambda n: monkeypatch.setattr(pdwg.polyquad, "_WORKERS", n)
+
+
+@pytest.fixture()
+def splu_out_of_memory(monkeypatch):
+    """Make every factorization raise ``MemoryError``, as SuperLU does when out of memory."""
+
+    def splu(K):
+        raise MemoryError
+
+    monkeypatch.setattr(pdwg.solver, "spla", types.SimpleNamespace(splu=splu))
 
 
 @pytest.fixture()

@@ -30,7 +30,7 @@ from pdwg.problems import builtin
 from pdwg.solver import solve
 from pdwg.wgspace import SpaceConfig, interpolate_weak, project_weak
 
-from conftest import CHUNKS, quadratic_problem
+from conftest import CHUNKS, assert_bitwise_equal, quadratic_problem
 
 
 # -- interpolants ---------------------------------------------------------------
@@ -122,6 +122,48 @@ def test_error_norms_rejects_nonfinite_exact_solution(unit_meshes):
 
     with pytest.raises(ValueError, match="non-finite"):
         error_norms(sol, replace(prob, exact_u=nan_off_nodes))
+
+
+# -- scalar data ----------------------------------------------------------------
+
+GENERAL, C0 = SpaceConfig(k=2, c0_type=False), SpaceConfig(k=2)
+
+
+def _zero_gradient(x, y):
+    return np.zeros((2,) + np.broadcast(x, y).shape)
+
+
+def _general_saddle(mesh, u):
+    system = build_saddle(mesh, GENERAL, replace(builtin("p1"), g=u))
+    return [system.S.data, system.B.data, system.F, system.constrained_values]
+
+
+def _error_norms(mesh, u):
+    p1 = builtin("p1")
+    sol = solve(build_saddle(mesh, C0, p1))
+    return [np.array(astuple(error_norms(sol, replace(p1, exact_u=u))), dtype=float)]
+
+
+SCALAR_DATA_CALLERS = {
+    "build_saddle-general-g": _general_saddle,
+    "project_element": lambda mesh, u: [project_element(u, 2, mesh)],
+    "project_edge": lambda mesh, u: [project_edge(u, 2, mesh)],
+    "project_weak": lambda mesh, u: [project_weak(mesh, GENERAL, u, _zero_gradient)],
+    "interpolate_weak": lambda mesh, u: [interpolate_weak(mesh, C0, u, _zero_gradient)],
+    "lagrange_interpolant": lambda mesh, u: [lagrange_interpolant(u, mesh, 2)],
+    "error_norms-exact_u": _error_norms,
+}
+
+
+@pytest.mark.parametrize("caller", SCALAR_DATA_CALLERS.values(), ids=SCALAR_DATA_CALLERS)
+def test_scalar_data_give_the_bits_of_array_data(unit_meshes, caller):
+    # Data may return a scalar; it is broadcast to the points, so every
+    # result holds the bits of the array-returning equivalent.
+    mesh = unit_meshes[1]
+    scalar = caller(mesh, lambda x, y: 0.3)
+    full = caller(mesh, lambda x, y: np.full(np.broadcast(x, y).shape, 0.3))
+    for got, want in zip(scalar, full, strict=True):
+        assert_bitwise_equal(got, want)
 
 
 # -- error norms ----------------------------------------------------------------

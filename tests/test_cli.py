@@ -142,6 +142,17 @@ def test_nonfinite_exact_solution_exits_3(tmp_path, capsys, monkeypatch):
     assert not out.exists()
 
 
+def test_out_of_memory_factorization_exits_3(tmp_path, capsys, splu_out_of_memory):
+    # SuperLU raises MemoryError when its factors do not fit; the study
+    # stops with exit code 3 and one stderr line naming the cause.
+    out = tmp_path / "oom.csv"
+    assert main(["--problem", "p1", "--levels", "2", "--out", str(out)]) == 3
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("solver failure: sparse factorization ran out of memory: ")
+    assert not out.exists()
+
+
 def test_dump_system(tmp_path, capsys):
     out = tmp_path / "s.csv"
     dump = tmp_path / "system.txt"

@@ -127,8 +127,6 @@ def test_cordes_p4_exact():
     report = cordes_check(prob.coeff, x, y, region)
     assert report.epsilon == 3.0 / 5.0
     assert report.satisfied
-    # bounds (1, 3) imply the lower bound 1 / (2*3 - 1)
-    assert report.ellipticity_epsilon == pytest.approx(0.2)
 
 
 def test_cordes_p5_exact_on_axis_and_diagonal():

@@ -8,10 +8,12 @@ properties the bases promise.  On the same triangles, the weak Hessian
 of a quadratic's weak function is its constant Hessian, the stabilizer
 vanishes on polynomials of degree k, and the C0 operators are the
 general ones seen through the C0-to-general map.  Refinement invariants
-are checked on the built-in domains and on random triangles.
+are checked on the built-in domains and on random triangles, and the
+one evaluator of problem data on random point shapes.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.polynomial import polynomial as npoly
@@ -21,6 +23,7 @@ from pdwg.assembly import stabilizer_energy
 from pdwg.mesh import DomainSpec, Mesh, build_initial_mesh, refine_uniform
 from pdwg.polyquad import (
     MAX_EXACT_DEGREE,
+    _evaluate,
     edge_basis,
     get_edge_rule,
     get_element_rule,
@@ -244,3 +247,38 @@ def test_refinement_invariants(mesh, levels):
         np.testing.assert_allclose(fine.h_max, mesh.h_max / 2, rtol=0.0, atol=atol)
         assert fine.n_vertices - fine.n_edges + fine.n_triangles == 1
         mesh = fine
+
+
+POINT_SHAPES = st.lists(st.integers(1, 4), min_size=1, max_size=3).map(tuple)
+VALUES = st.floats(-1e3, 1e3)
+
+
+@PROPERTY
+@given(POINT_SHAPES, VALUES, st.data())
+def test_data_evaluation_broadcasts_scalars_rows_and_arrays(shape, value, data):
+    x = np.linspace(-1.0, 1.0, int(np.prod(shape))).reshape(shape)
+    y = 1.0 - x
+    row = np.array(data.draw(st.lists(VALUES, min_size=shape[-1], max_size=shape[-1])))
+    for returned, want in (
+        (value, np.full(shape, value)),
+        (np.full(shape[-1:], value), np.full(shape, value)),
+        (np.full(shape, value), np.full(shape, value)),
+        (row, row + np.zeros(shape)),
+    ):
+        got = _evaluate(lambda x, y: returned, x, y)
+        assert got.shape == shape
+        np.testing.assert_array_equal(got, want)
+    assert _evaluate(lambda x, y: np.stack([x, y]), x, y).shape == (2,) + shape
+
+
+@PROPERTY
+@given(POINT_SHAPES, VALUES, st.sampled_from([np.nan, np.inf, -np.inf]),
+       st.sampled_from(["coefficient a12", "right-hand side", "boundary data"]), st.data())
+def test_data_evaluation_rejects_any_nonfinite_value(shape, value, bad, what, data):
+    x = y = np.zeros(shape)
+    values = np.full(shape, value)
+    values[tuple(data.draw(st.integers(0, n - 1)) for n in shape)] = bad
+    message = f"^{what} evaluation returned a non-finite value$"
+    for returned in (values, bad):
+        with pytest.raises(ValueError, match=message):
+            _evaluate(lambda x, y: returned, x, y, what)

@@ -167,6 +167,15 @@ def test_solver_errors_name_their_sizes(unit_meshes, monkeypatch):
     assert str(info.value).endswith(f"; {factored}")
 
 
+def test_out_of_memory_factorization_is_a_solver_error(unit_meshes, splu_out_of_memory):
+    system = build_saddle(unit_meshes[1], SpaceConfig(k=2), builtin("p1"))
+    K_red = _eliminate(system)[0]
+    with pytest.raises(SolverError, match="^sparse factorization ran out of memory: ") as info:
+        solve(system)
+    assert str(info.value).endswith(f"; K_red order {K_red.shape[0]}, nnz {K_red.nnz}")
+    assert isinstance(info.value.__cause__, MemoryError)
+
+
 def test_solve_deterministic(unit_meshes):
     mesh = unit_meshes[2]
     config = SpaceConfig(k=2, multiplier_space="pkm1", c0_type=True)
