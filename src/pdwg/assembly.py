@@ -451,9 +451,9 @@ def dump_system(system, target):
     line per stored entry, sorted by row then column, values with 17
     significant digits.  Only this function forms the block matrix.
     """
-    K = sp.bmat([[system.S, system.B.T], [system.B, None]], format="coo")
-    order = np.lexsort((K.col, K.row))
+    K = sp.bmat([[system.S, system.B.T], [system.B, None]], format="csr")
+    rows = np.repeat(np.arange(K.shape[0]), np.diff(K.indptr))
     lines = [f"{system.n_primal} {system.n_mult} {K.nnz}"]
-    for r, c, v in zip(K.row[order], K.col[order], K.data[order]):
+    for r, c, v in zip(rows, K.indices, K.data):
         lines.append(f"{r} {c} {v:.17g}")
     _write_text("\n".join(lines) + "\n", target)

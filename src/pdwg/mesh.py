@@ -173,35 +173,33 @@ class Mesh:
         self.vertices = np.ascontiguousarray(self.vertices, dtype=float)
         self.triangles = np.ascontiguousarray(self.triangles, dtype=np.int64)
         self.region_tags = np.ascontiguousarray(self.region_tags, dtype=np.int64)
-        _validate_triangles(self.vertices, self.triangles, self.region_tags)
+        sides = _validate_triangles(self.vertices, self.triangles, self.region_tags)
         if np.any(self.areas <= 0.0):
             bad = int(np.flatnonzero(self.areas <= 0.0)[0])
             raise ValueError(f"triangle {bad} is not CCW (signed area {self.areas[bad]:g})")
 
-        nt = self.triangles.shape[0]
-        pairs = self.triangles[:, [[0, 1], [1, 2], [2, 0]]].reshape(-1, 2)
-        pairs = np.sort(pairs, axis=1)
-        edges, inverse = np.unique(pairs, axis=0, return_inverse=True)
-        inverse = inverse.reshape(nt, 3)
-        ne = edges.shape[0]
-
-        counts = np.bincount(inverse.ravel(), minlength=ne)
+        # lo * nv + hi sorts as (lo, hi) does; a stable sort keeps each edge's triangles in order.
+        key = sides[:, 0] * self.n_vertices + sides[:, 1]
+        order = np.argsort(key, kind="stable")
+        first = np.diff(key[order], prepend=-1) != 0
+        starts = np.flatnonzero(first)
+        counts = np.diff(starts, append=len(order))
+        edges = sides[order[starts]]
         if counts.max(initial=0) > 2:
             bad = int(np.argmax(counts))
             raise ValueError(
                 f"non-manifold input: edge {tuple(edges[bad])} shared by {counts[bad]} triangles"
             )
 
-        order = np.argsort(inverse.ravel(), kind="stable")
-        tri_of_slot = order // 3
-        starts = np.searchsorted(inverse.ravel()[order], np.arange(ne))
-        edge_tris = np.full((ne, 2), -1, dtype=np.int64)
-        edge_tris[:, 0] = tri_of_slot[starts]
+        tri_edges = np.empty(len(order), dtype=np.int64)
+        tri_edges[order] = np.cumsum(first) - 1
+        edge_tris = np.full((len(starts), 2), -1, dtype=np.int64)
+        edge_tris[:, 0] = order[starts] // 3
         two = counts == 2
-        edge_tris[two, 1] = tri_of_slot[starts[two] + 1]
+        edge_tris[two, 1] = order[starts[two] + 1] // 3
 
         self.edges = edges
-        self.tri_edges = inverse
+        self.tri_edges = tri_edges.reshape(-1, 3)
         self.edge_tris = edge_tris
         self.is_boundary_edge = counts == 1
 
@@ -269,6 +267,7 @@ class Mesh:
 
 
 def _validate_triangles(vertices, triangles, region_tags):
+    """Check the mesh arrays; return side ``l`` of ``t``, ends sorted, in row ``3 t + l``."""
     nt = len(triangles)
     for name, arr, shape in (("vertices", vertices, (len(vertices), 2)),
                              ("triangles", triangles, (nt, 3)),
@@ -279,9 +278,10 @@ def _validate_triangles(vertices, triangles, region_tags):
         raise ValueError("mesh vertices must have finite coordinates")
     if triangles.min(initial=0) < 0 or triangles.max(initial=-1) >= len(vertices):
         raise ValueError("triangle vertex id out of range")
-    t = np.sort(triangles, axis=1)
-    if np.any(t[:, 0] == t[:, 1]) or np.any(t[:, 1] == t[:, 2]):
+    sides = np.sort(triangles[:, [[0, 1], [1, 2], [2, 0]]].reshape(-1, 2), axis=1)
+    if np.any(sides[:, 0] == sides[:, 1]):
         raise ValueError("triangle with repeated vertex ids")
+    return sides
 
 
 def build_initial_mesh(domain):

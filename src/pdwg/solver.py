@@ -67,19 +67,18 @@ def _eliminate(system):
     """Return ``K_red`` (CSC), ``rhs_red`` and the free primal DOFs ``f``.
 
     ``K_red = [[S_ff, B_f^T], [B_f, 0]]`` and ``rhs_red = [0; F] - [S_fc g; B_c g]``,
-    with ``g`` the values of the constrained DOFs ``c``.  ``K_red`` is exactly
-    symmetric, so the CSR arrays of its stacked blocks are its CSC arrays.
+    with ``g`` the values of the constrained DOFs ``c``.
     """
     con, g = system.constrained, system.constrained_values
-    free_idx = np.flatnonzero(np.isin(np.arange(system.n_primal), con, invert=True))
+    free = np.ones(system.n_primal, dtype=bool)
+    free[con] = False
+    free_idx = np.flatnonzero(free)
     S, B = system.S, system.B
     # ``0.0 - y``, not ``-y``: a zero ``y`` keeps the +0 of ``[0; F] - y``.
     rhs_red = np.concatenate([0.0 - S[:, con][free_idx] @ g, system.F - B[:, con] @ g])
     B_f = B[:, free_idx]
-    n = free_idx.size + system.n_mult
-    lower = sp.csr_matrix((B_f.data, B_f.indices, B_f.indptr), shape=(system.n_mult, n))
-    K = sp.vstack([sp.hstack([S[free_idx][:, free_idx], B_f.T.tocsr()]), lower])
-    return sp.csc_matrix((K.data, K.indices, K.indptr), shape=K.shape), rhs_red, free_idx
+    K = sp.bmat([[S[free_idx][:, free_idx], B_f.T], [B_f, None]], format="csc")
+    return K, rhs_red, free_idx
 
 
 def solve(system):

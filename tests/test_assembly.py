@@ -627,6 +627,21 @@ def test_dump_system_roundtrip(unit_meshes, tmp_path):
     assert d.nnz == 0 or np.abs(d.data).max() < 1e-15
 
 
+def test_dump_system_writes_each_stored_entry_once_in_order(unit_meshes):
+    # Every stored entry of S, B and B^T, sorted by row then column, B's
+    # explicit zeros included: the general variant's B stores some.
+    config = SpaceConfig(k=2, multiplier_space="pkm2", c0_type=False)
+    system = build_saddle(unit_meshes[1], config, builtin("p1"))
+    assert np.any(system.B.data == 0.0)
+    buf = io.StringIO()
+    dump_system(system, buf)
+    lines = buf.getvalue().splitlines()
+    assert lines[0] == f"{system.n_primal} {system.n_mult} {system.S.nnz + 2 * system.B.nnz}"
+    entries = [tuple(map(int, ln.split()[:2])) for ln in lines[1:]]
+    assert entries == sorted(set(entries))
+    assert len(entries) == system.S.nnz + 2 * system.B.nnz
+
+
 def test_per_mesh_cache(unit_meshes):
     mesh = unit_meshes[2]
     config = SpaceConfig(k=2, c0_type=False)

@@ -116,6 +116,57 @@ def test_nonmanifold_rejected():
         Mesh(vertices=v, triangles=t, region_tags=np.zeros(3, dtype=int))
 
 
+def _fans(*sizes):
+    """CCW triangles fanned on the bottom edge of unit squares set side by side.
+
+    The bottom edge of the i-th square, which joins its first two
+    vertices, is shared by ``sizes[i]`` triangles, whose apexes lie above
+    it.  The vertices are numbered square by square, the triangles of
+    the last square come first.
+    """
+    vertices, triangles = [], []
+    for i, size in enumerate(sizes):
+        lo = len(vertices)
+        vertices += [[2.0 * i, 0.0], [2.0 * i + 1.0, 0.0]]
+        vertices += [[2.0 * i + (j + 1) / (size + 1), 1.0] for j in range(size)]
+        triangles = [[lo, lo + 1, lo + 2 + j] for j in range(size)] + triangles
+    return np.array(vertices), np.array(triangles)
+
+
+@pytest.mark.parametrize("sizes, named", [((3, 3), (0, 1)), ((3, 4), (5, 6)), ((2, 3, 3), (4, 5))])
+def test_nonmanifold_error_names_the_most_shared_then_lowest_edge(sizes, named):
+    # Of the edges shared by more than two triangles, the message names
+    # one with the most triangles and, among those, the lowest (lo, hi).
+    v, t = _fans(*sizes)
+    with pytest.raises(ValueError) as info:
+        Mesh(v, t, np.zeros(len(t), dtype=int))
+    edge = tuple(np.array(named, dtype=np.int64))
+    assert str(info.value) == f"non-manifold input: edge {edge} shared by {max(sizes)} triangles"
+
+
+def test_validation_errors_fire_in_order():
+    # Each mesh breaks its check and every later one, so only the order
+    # of the checks decides which error it gets: array shapes, finite
+    # coordinates, vertex ids in range, repeated vertices, orientation,
+    # manifold edges.
+    v, t = _fans(3)
+    cw = t[:, ::-1]  # clockwise, still non-manifold
+    repeated = np.vstack([cw, [[0, 0, 1]]])
+    out_of_range = np.vstack([cw, [[0, 0, len(v)]]])
+    nan = np.where(v == 1.0, np.nan, v)
+    cases = [
+        (nan, np.column_stack([out_of_range, out_of_range[:, 0]]), r"triangles must have shape \(4, 3\)"),
+        (nan, out_of_range, "finite coordinates"),
+        (v, out_of_range, "out of range"),
+        (v, repeated, "repeated vertex"),
+        (v, cw, "triangle 0 is not CCW"),
+        (v, t, "non-manifold"),
+    ]
+    for vertices, triangles, message in cases:
+        with pytest.raises(ValueError, match=message):
+            Mesh(vertices, triangles, np.zeros(len(triangles), dtype=int))
+
+
 def test_bad_triangles_rejected():
     v = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
     with pytest.raises(ValueError, match="CCW"):

@@ -8,8 +8,9 @@ properties the bases promise.  On the same triangles, the weak Hessian
 of a quadratic's weak function is its constant Hessian, the stabilizer
 vanishes on polynomials of degree k, and the C0 operators are the
 general ones seen through the C0-to-general map.  Refinement invariants
-are checked on the built-in domains and on random triangles, and the
-one evaluator of problem data on random point shapes.
+are checked on the built-in domains and on random triangles, the edge
+topology on refined built-in domains and random grid triangulations,
+and the one evaluator of problem data on random point shapes.
 """
 
 import numpy as np
@@ -247,6 +248,56 @@ def test_refinement_invariants(mesh, levels):
         np.testing.assert_allclose(fine.h_max, mesh.h_max / 2, rtol=0.0, atol=atol)
         assert fine.n_vertices - fine.n_edges + fine.n_triangles == 1
         mesh = fine
+
+
+@st.composite
+def grid_triangulations(draw):
+    """A random CCW triangulation of some cells of an integer grid.
+
+    Each cell is dropped or split along either diagonal, so edges inside
+    the grid can lie on the boundary.  The vertex ids, the order of the
+    triangles and the first vertex of each are random.
+    """
+    nx, ny = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    ids = np.array(draw(st.permutations(range((nx + 1) * (ny + 1))))).reshape(ny + 1, nx + 1)
+    vertices = np.empty((ids.size, 2))
+    vertices[ids] = np.stack(np.meshgrid(np.arange(nx + 1.0), np.arange(ny + 1.0)), axis=-1)
+    cells = draw(st.lists(st.sampled_from(["drop", "ac", "bd"]), min_size=nx * ny, max_size=nx * ny))
+    triangles = []
+    for (j, i), split in zip(np.ndindex(ny, nx), cells):
+        a, b, c, d = ids[j, i], ids[j, i + 1], ids[j + 1, i + 1], ids[j + 1, i]
+        triangles += {"drop": [], "ac": [[a, b, c], [a, c, d]], "bd": [[a, b, d], [b, c, d]]}[split]
+    triangles = [triangles[i] for i in draw(st.permutations(range(len(triangles))))]
+    triangles = [np.roll(tri, draw(st.integers(0, 2))) for tri in triangles]
+    return Mesh(vertices, np.reshape(triangles, (-1, 3)), np.zeros(len(triangles), dtype=int))
+
+
+def _unique_rows_topology(triangles):
+    """The edge topology from ``np.unique(axis=0)``, a bincount and a searchsorted."""
+    pairs = np.sort(triangles[:, [[0, 1], [1, 2], [2, 0]]].reshape(-1, 2), axis=1)
+    edges, inverse = np.unique(pairs, axis=0, return_inverse=True)
+    inverse = inverse.reshape(-1)
+    counts = np.bincount(inverse, minlength=len(edges))
+    order = np.argsort(inverse, kind="stable")
+    starts = np.searchsorted(inverse[order], np.arange(len(edges)))
+    edge_tris = np.full((len(edges), 2), -1, dtype=np.int64)
+    edge_tris[:, 0] = order[starts] // 3
+    two = counts == 2
+    edge_tris[two, 1] = order[starts[two] + 1] // 3
+    return {"edges": edges, "tri_edges": inverse.reshape(-1, 3), "edge_tris": edge_tris,
+            "is_boundary_edge": counts == 1}
+
+
+@PROPERTY
+@given(st.one_of(DOMAIN_MESHES, grid_triangulations()), st.integers(0, 3))
+def test_edge_topology_is_the_unique_rows_formula(mesh, levels):
+    # One stable sort of the integer keys lo * nv + hi numbers the edges,
+    # and orders each edge's triangles, as the unique rows of (lo, hi) do.
+    for level in range(levels + 1):
+        if level:
+            mesh = refine_uniform(mesh)
+        for name, want in _unique_rows_topology(mesh.triangles).items():
+            np.testing.assert_array_equal(getattr(mesh, name), want, err_msg=name, strict=True)
 
 
 POINT_SHAPES = st.lists(st.integers(1, 4), min_size=1, max_size=3).map(tuple)

@@ -4,17 +4,18 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 import pdwg.solver
 from pdwg.assembly import build_saddle, constant_coefficients
-from pdwg.mesh import DomainSpec, build_initial_mesh
+from pdwg.mesh import DomainSpec, build_initial_mesh, refine_uniform
 from pdwg.polyquad import get_element_rule
 from pdwg.problems import ProblemSpec, builtin
 from pdwg.solver import RESIDUAL_RTOL, SolverError, WgSolution, _eliminate, solve
 from pdwg.wgspace import SpaceConfig, build_dof_map
 
-from conftest import quadratic_problem
+from conftest import assert_csr_bitwise_equal, quadratic_problem
 
 ALL_VARIANTS = [
     SpaceConfig(k=2, multiplier_space="pkm1", c0_type=True),
@@ -126,6 +127,43 @@ def test_error_decreases_under_refinement(unit_meshes):
     # cubic interior convergence: each halving should shrink the error
     # by far more than the factor 4 of a merely second-order method
     assert errs[1] / errs[2] > 4.0
+
+
+# -- elimination ---------------------------------------------------------------
+
+def _stacked_reduced_system(system):
+    """``K_red`` and the free DOFs as ``_eliminate`` built them with hstack and vstack.
+
+    ``K_red`` is exactly symmetric, so the CSR arrays of the stacked
+    blocks are read as its CSC arrays.
+    """
+    free_idx = np.flatnonzero(np.isin(np.arange(system.n_primal), system.constrained, invert=True))
+    S, B = system.S, system.B
+    B_f = B[:, free_idx]
+    n = free_idx.size + system.n_mult
+    lower = sp.csr_matrix((B_f.data, B_f.indices, B_f.indptr), shape=(system.n_mult, n))
+    K = sp.vstack([sp.hstack([S[free_idx][:, free_idx], B_f.T.tocsr()]), lower])
+    return sp.csc_matrix((K.data, K.indices, K.indptr), shape=K.shape), free_idx
+
+
+@pytest.mark.parametrize("config", ALL_VARIANTS, ids=lambda c: f"{c.multiplier_space}-{'c0' if c.c0_type else 'gen'}")
+@pytest.mark.parametrize("name", ["p1", "p2", "p4"])
+def test_reduced_system_is_the_stacked_blocks(config, name):
+    # One bmat call gives the bits, index dtypes included, of the blocks
+    # stacked one by one.
+    problem = builtin(name)
+    mesh = build_initial_mesh(problem.domain)
+    for _ in range(2):
+        mesh = refine_uniform(mesh)
+    system = build_saddle(mesh, config, problem)
+    K_red, _, free_idx = _eliminate(system)
+    want, want_free = _stacked_reduced_system(system)
+    assert K_red.format == "csc"
+    for attr in ("indptr", "indices"):
+        assert getattr(K_red, attr).dtype == getattr(want, attr).dtype, attr
+    # The transpose of a CSC matrix is the CSR matrix of the same arrays.
+    assert_csr_bitwise_equal(K_red.T, want.T)
+    np.testing.assert_array_equal(free_idx, want_free)
 
 
 # -- failure modes and determinism ---------------------------------------------
