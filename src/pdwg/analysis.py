@@ -34,6 +34,7 @@ from .mesh import _write_text, build_initial_mesh, refine_uniform
 from .polyquad import (
     GEOMETRY_TRI_DEGREE,
     _edge_points,
+    _einsum,
     _evaluate,
     _for_chunks,
     edge_basis,
@@ -210,16 +211,16 @@ def discrete_norms(primal, mesh, config, problem):
         VS = basis_s.eval(pts, elements=e)
         a = problem.coeff.entries(pts[..., 0], pts[..., 1], region[e])
         # d2[dx]: u0 differentiated dx times in x and 2 - dx times in y.
-        d2 = [np.einsum("eqn,en->eq", basis_k.eval(pts, dx, 2 - dx, elements=e), u0[e],
-                        optimize=True) for dx in range(3)]
+        d2 = [_einsum("eqn,en->eq", basis_k.eval(pts, dx, 2 - dx, elements=e), u0[e])
+              for dx in range(3)]
         weak_vals = np.zeros(pts.shape[:2])
         strong_vals = np.zeros(pts.shape[:2])
         for i, j in ((1, 1), (1, 2), (2, 1), (2, 2)):
             dij = apply_weak_hessian(local[e], hess, i, j)  # (ne, ns)
-            weak_vals += a[f"{i}{j}"] * np.einsum("eqn,en->eq", VS, dij, optimize=True)
+            weak_vals += a[f"{i}{j}"] * _einsum("eqn,en->eq", VS, dij)
             strong_vals += a[f"{i}{j}"] * d2[(i == 1) + (j == 1)]
         # Project the strong combination onto the multiplier space per element.
-        strong_coeff[e] = np.einsum("eqn,eq,eq->en", VS, strong_vals, w, optimize=True)
+        strong_coeff[e] = _einsum("eqn,eq,eq->en", VS, strong_vals, w)
         weak_sq[e] = w * weak_vals**2
 
     _for_chunks(nt, chunk)

@@ -33,6 +33,7 @@ from .mesh import _write_text
 from .polyquad import (
     GEOMETRY_EDGE_DEGREE,
     GEOMETRY_TRI_DEGREE,
+    _einsum,
     _evaluate,
     _for_chunks,
     edge_basis,
@@ -168,7 +169,7 @@ def _slot_map(ids, pairs, n_rows):
     # Entries per incidence (e, l): the pairs of local row l.
     per_row = np.broadcast_to(np.bincount(a, minlength=nloc), ids.shape).ravel()
     flat = ids.ravel()
-    order = np.argsort(flat, kind="stable")
+    order = np.argsort(flat.astype(idx), kind="stable")  # int32 keys sort faster
     ends = np.cumsum(per_row[order])
     base = np.empty(flat.size, dtype=idx)
     base[order] = ends - per_row[order]
@@ -179,21 +180,19 @@ def _slot_map(ids, pairs, n_rows):
     return indptr, base.reshape(nt, nloc), within
 
 
-def _summed_csr(data, indices, indptr, shape, drop_zeros=False):
-    """CSR matrix of unsummed CSR arrays, duplicates summed in place.
+def _summed_csr(data, indices, indptr, shape):
+    """CSR matrix of unsummed CSR arrays, duplicates summed and exact zeros dropped in place.
 
     Each row must hold its entries in the order in which
     ``coo_matrix(...).tocsr()`` holds them before it sums duplicates
     (see :func:`_slot_map`); scipy's own ``sum_duplicates``, then
-    ``eliminate_zeros`` if ``drop_zeros``, then give that conversion's
-    bits.  The matrix keeps the memory of ``data`` and ``indices``; where
-    entries were dropped, the arrays are shrunk in place to the entries
-    kept, so nothing else may hold a view of them.
+    ``eliminate_zeros``, then give that conversion's bits.  The matrix
+    keeps the memory of ``data`` and ``indices``, shrunk in place to the
+    entries kept, so nothing else may hold a view of them.
     """
     M = sp.csr_matrix((data, indices, indptr), shape=shape)
     M.sum_duplicates()
-    if drop_zeros:
-        M.eliminate_zeros()
+    M.eliminate_zeros()
     nnz = M.nnz
     for name in ("data", "indices"):
         owner = getattr(M, name).base
@@ -274,7 +273,7 @@ def stabilizer_local_parts(mesh, dofmap, elements=slice(None)):
     h = mesh.h_t[elements, None, None]
     grams = {}
     for p, J in jumps:
-        gram = np.einsum("etql,etqm,etq->elm", J, J, we, optimize=True)
+        gram = _einsum("etql,etqm,etq->elm", J, J, we)
         if p in grams:
             gram += grams[p]
         grams[p] = gram
@@ -305,7 +304,7 @@ def stabilizer_energy(mesh, dofmap, primal):
     def chunk(e):
         we, jumps = _edge_jumps(mesh, dofmap.config, e)
         for m, (p, J) in enumerate(jumps):
-            jump = np.einsum("etql,el->etq", J, loc[e], optimize=True)
+            jump = _einsum("etql,el->etq", J, loc[e])
             squares[m][e] = (jump**2 * we) / h[e] ** p
 
     _for_chunks(nt, chunk)
@@ -332,23 +331,26 @@ def assemble_stabilizer(mesh, dofmap):
     The temporaries are one chunk's Gram blocks and the slot map; the
     unsummed arrays become S's own, shrunk in place.
     """
-    nt, n = mesh.n_triangles, dofmap.n_primal
+    nt, n, nloc = mesh.n_triangles, dofmap.n_primal, dofmap.config.nloc
     a, b = pairs = _coupled_pairs(dofmap.config)
     indptr, base, within = _slot_map(dofmap.element_primal, pairs, n)
     ids = dofmap.element_primal.astype(indptr.dtype)
     data = np.empty(nt * a.size)
     indices = np.empty(nt * a.size, dtype=indptr.dtype)
+    # Flat positions of the pairs (a, b) and (b, a) in one local block.
+    ab, ba = a * nloc + b, b * nloc + a
 
     def chunk(e):
-        local = stabilizer_local_parts(mesh, dofmap, e)
-        block = np.add(local[:, a, b], local[:, b, a])
+        local = stabilizer_local_parts(mesh, dofmap, e).reshape(-1, nloc * nloc)
+        block = np.add(np.take(local, ab, axis=1), np.take(local, ba, axis=1))
         block *= 0.5
-        slots = base[e][:, a] + within
+        slots = np.take(base[e], a, axis=1)
+        slots += within
         data[slots] = block
-        indices[slots] = ids[e][:, b]
+        indices[slots] = np.take(ids[e], b, axis=1)
 
     _for_chunks(nt, chunk)
-    return _summed_csr(data, indices, indptr, (n, n), drop_zeros=True)
+    return _summed_csr(data, indices, indptr, (n, n))
 
 
 def assemble_constraint(mesh, dofmap, coeff, f, quad_degree):
@@ -361,10 +363,10 @@ def assemble_constraint(mesh, dofmap, coeff, f, quad_degree):
     element region tags, by a rule of degree at least ``quad_degree``
     and at least ``GEOMETRY_TRI_DEGREE(k)``, one chunk of elements at a
     time, together with that chunk's weak Hessians.  Multipliers are
-    numbered element by element, so the local blocks, in element order,
-    are already B's unsummed CSR data, and B keeps their memory; summing
-    only sorts each row's columns.  ``F`` is the local loads in the same
-    order.
+    numbered element by element, so the local blocks, in element order
+    and each with its columns in ascending global order, are already B's
+    CSR data in canonical form (sorted, no duplicates), and B keeps their
+    memory.  ``F`` is the local loads in the same order.
     """
     config = dofmap.config
     qd = max(quad_degree, GEOMETRY_TRI_DEGREE(config.k))
@@ -372,8 +374,10 @@ def assemble_constraint(mesh, dofmap, coeff, f, quad_degree):
 
     sb = get_tri_basis(mesh, config.mult_degree)
     region = mesh.region_tags[:, None]
+    # The DOFs of one element are distinct, so ascending order is unique.
+    order = np.argsort(dofmap.element_primal, axis=1)
 
-    B_local = np.zeros((nt, ns, nloc))
+    B_local = np.empty((nt, ns, nloc))
     F_local = np.empty((nt, ns))
 
     def chunk(e):
@@ -382,21 +386,23 @@ def assemble_constraint(mesh, dofmap, coeff, f, quad_degree):
         VS = sb.eval(pts, elements=e)
         a = coeff.entries(x, y, region[e])
         # a["21"] is a["12"], so D_12 and D_21 share one contraction.
-        M = {ij: np.einsum("eqn,eqm,eq,eq->enm", VS, VS, a[ij], w, optimize=True)
+        M = {ij: _einsum("eqn,eqm,eq,eq->enm", VS, VS, a[ij], w)
              for ij in ("11", "12", "22")}
+        local = np.zeros(B_local[e].shape)
         for (i, j), H in weak_hessian_local(mesh, config, e).items():
-            B_local[e] += M[f"{min(i, j)}{max(i, j)}"] @ H
+            local += M[f"{min(i, j)}{max(i, j)}"] @ H
+        B_local[e] = np.take_along_axis(local, order[e, None, :], axis=2)
 
         fvals = _evaluate(f, x, y, "right-hand side", region=region[e])
-        F_local[e] = np.einsum("eqn,eq,eq->en", VS, fvals, w, optimize=True)
+        F_local[e] = _einsum("eqn,eq,eq->en", VS, fvals, w)
 
     _for_chunks(nt, chunk)
-    # Row n of element e is row e * ns + n; its columns are the element's DOFs.
+    # Row n of element e is row e * ns + n; its columns are the element's DOFs, ascending.
     idx = _index_dtype(max(B_local.size, dofmap.n_mult, dofmap.n_primal))
-    cols = np.repeat(dofmap.element_primal.astype(idx), ns, axis=0)
+    cols = np.take_along_axis(dofmap.element_primal, order, axis=1).astype(idx)
     indptr = np.arange(0, B_local.size + 1, nloc, dtype=idx)
-    B = _summed_csr(B_local.reshape(-1), cols.reshape(-1), indptr,
-                    (dofmap.n_mult, dofmap.n_primal))
+    B = sp.csr_matrix((B_local.reshape(-1), np.repeat(cols, ns, axis=0).reshape(-1), indptr),
+                      shape=(dofmap.n_mult, dofmap.n_primal))
     # + 0.0 turns -0 into +0, as a sum into zeros would.
     F = F_local.ravel() + 0.0
     return B, F
@@ -423,7 +429,7 @@ def apply_dirichlet(dofmap, mesh, g, quad_degree):
         pts, w, t = get_edge_rule(mesh, max(quad_degree, GEOMETRY_EDGE_DEGREE(k)), bedges)
         gvals = _evaluate(g, pts[..., 0], pts[..., 1], "boundary data")
         X = edge_basis(mesh, k, t, bedges)
-        values[:] = np.einsum("eqn,eq,eq->en", X, gvals, w, optimize=True).ravel()
+        values[:] = _einsum("eqn,eq,eq->en", X, gvals, w).ravel()
     return values
 
 

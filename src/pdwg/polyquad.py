@@ -18,8 +18,19 @@ edge bases are computed per call for the elements or edges asked.
 
 Other modules call, never restate, the conventions owned here: the
 reference rules (one per degree), the reference triangle's affine map
-(:func:`_affine_map`), the edge bases (:func:`edge_basis`) and the one
-call of problem data (:func:`_evaluate`).
+(:func:`_affine_map`), the edge bases (:func:`edge_basis`), the one
+call of problem data (:func:`_evaluate`) and the one way to contract
+(:func:`_einsum`, numpy's ``einsum`` with its path cached per shapes).
+
+Mapped points are coordinate-major: the (..., 2) point arrays are views
+of arrays that hold each coordinate as one contiguous plane, so the data
+callables and the bases read each coordinate contiguously.  A basis
+evaluation forms each power of the scaled coordinates once, as one plane
+over the points per axis, and writes each column of its scaled-monomial
+matrix as the product of one plane of each axis (see
+:meth:`TriangleBasis._vander`).  A power of 2 or more is numpy's float
+``pow`` on the signed coordinate, which fixes the bits of every basis
+value.
 
 Work at quadrature resolution (basis values at element quadrature
 points, mapped rules, function values) runs over one chunk of
@@ -114,6 +125,24 @@ def _evaluate(fn, x, y, what="function", **region):
     if not np.all(np.isfinite(vals)):
         raise ValueError(f"{what} evaluation returned a non-finite value")
     return np.broadcast_to(vals, (2,) + shape if vals.ndim > len(shape) else shape)
+
+
+def _einsum(spec, *ops):
+    """``np.einsum(spec, *ops, optimize=True)``, with numpy's greedy path cached.
+
+    numpy's greedy contraction path depends only on ``spec`` and the
+    operand shapes, so it is searched once per such pair (see
+    :func:`_einsum_path`) and passed to ``np.einsum``, which then contracts
+    along it as ``optimize=True`` would: the same bits, without the search.
+    """
+    return np.einsum(spec, *ops, optimize=_einsum_path(spec, tuple(op.shape for op in ops)))
+
+
+@functools.lru_cache(maxsize=256)
+def _einsum_path(spec, shapes):
+    """numpy's greedy path of ``spec`` on operands of ``shapes``, as a tuple."""
+    ops = (np.broadcast_to(0.0, s) for s in shapes)
+    return tuple(np.einsum_path(spec, *ops, optimize="greedy")[0])
 
 
 def _chunks(nt):
@@ -266,23 +295,23 @@ def _falling(exps, order):
     return out
 
 
-def _powers(z, top):
-    """``z**p`` for ``p = 0..top`` along a new last axis.
+def _power_planes(z, top):
+    """``[z**0, z**1, ..., z**top]``: the scalar ``1.0``, ``z``, then one array per power.
 
-    The entries are bitwise those of ``z[..., None] ** p`` with an integer
-    exponent array, which numpy evaluates in its vectorized float ``pow``
-    loop.  ``p = 0`` and ``p = 1`` are exact without ``pow`` (``1.0`` and
-    ``z``).  Every ``p >= 2`` passes a full float exponent array: a scalar
-    or one-element exponent (``z**2``) takes numpy's ``square`` fast path,
-    which is not ``pow`` and rounds about 1 % of the entries differently.
+    Each ``p >= 2`` is ``np.power`` with a full float exponent array, so it
+    is numpy's vectorized float ``pow`` loop and holds the bits of
+    ``z ** p`` with an integer exponent array.  A scalar or one-element
+    exponent (``z**2``) would take numpy's ``square`` fast path, which is
+    not ``pow`` and rounds about 1 % of the entries differently.  ``p = 0``
+    and ``p = 1`` are exact without ``pow``.
     """
-    out = np.empty(z.shape + (top + 1,))
-    out[..., 0] = 1.0
-    if top >= 1:
-        out[..., 1] = z
-    for p in range(2, top + 1):
-        out[..., p] = np.power(z, np.full(z.shape, float(p)))
-    return out
+    planes = [1.0, z]
+    if top >= 2:
+        exponent = np.empty(z.shape)
+        for p in range(2, top + 1):
+            exponent.fill(p)
+            planes.append(np.power(z, exponent))
+    return planes
 
 
 class TriangleBasis:
@@ -312,7 +341,7 @@ class TriangleBasis:
         def chunk(e):
             pts, w = get_element_rule(mesh, qd, e)
             V = self._vander(pts, elements=e)
-            gram = np.einsum("eqi,eqj,eq->eij", V, V, w, optimize=True)
+            gram = _einsum("eqi,eqj,eq->eij", V, V, w)
             try:
                 chol = np.linalg.cholesky(gram)
             except np.linalg.LinAlgError as exc:
@@ -338,9 +367,10 @@ class TriangleBasis:
         """Scaled-monomial (derivative) values, ``(ne, ..., dim)``.
 
         Column ``(a, b)`` is ``fac * xi**(a - dx) * eta**(b - dy)`` divided
-        by ``h**(dx + dy)``, with exponents clipped at 0 where ``fac`` is 0.
-        Each power is looked up in one table per axis (see ``_powers``)
-        instead of being recomputed for every column; the bits are those of
+        by ``h**(dx + dy)``, with exponents clipped at 0 where ``fac`` is 0,
+        evaluated in that order.  Each power is formed once per call, as one
+        plane over the points per axis (see :func:`_power_planes`), and each
+        column is written from one plane of each axis; the bits are those of
         the one-``pow``-per-column formula.
         """
         extra = pts.ndim - 2
@@ -350,12 +380,21 @@ class TriangleBasis:
         eta = (pts[..., 1] - c[..., 1]) / s
         a = np.maximum(self.exps[:, 0] - dx, 0)
         b = np.maximum(self.exps[:, 1] - dy, 0)
-        X = _powers(xi, a.max())[..., a]
-        Y = _powers(eta, b.max())[..., b]
-        if not (dx or dy):
-            return X * Y  # the factor is all ones
+        X = _power_planes(xi, a.max())
+        Y = _power_planes(eta, b.max())
+        V = np.empty(xi.shape + (self.dim,))
+        if not (dx or dy):  # the factor is all ones
+            for j in range(self.dim):
+                np.multiply(X[a[j]], Y[b[j]], out=V[..., j])
+            return V
         fac = _falling(self.exps[:, 0], dx) * _falling(self.exps[:, 1], dy)
-        return fac * X * Y / s[..., None] ** (dx + dy)
+        scale = s ** (dx + dy)
+        for j in range(self.dim):
+            col = V[..., j]
+            np.multiply(fac[j], X[a[j]], out=col)
+            col *= Y[b[j]]
+            col /= scale
+        return V
 
     def eval(self, pts, dx=0, dy=0, elements=slice(None)):
         """Basis (derivative) values at points.
@@ -376,7 +415,7 @@ class TriangleBasis:
         (ne, ..., dim) array
         """
         V = self._vander(pts, dx=dx, dy=dy, elements=elements)
-        return np.einsum("e...m,emn->e...n", V, self.coeff[elements], optimize=True)
+        return _einsum("e...m,emn->e...n", V, self.coeff[elements])
 
 
 @_per_mesh
@@ -398,27 +437,37 @@ def get_element_rule(mesh, degree, elements=slice(None)):
 def _affine_map(p, ref):
     """Images (ne, n, 2) of reference points ``ref`` (n, 2) on corners ``p`` (ne, 3, 2).
 
-    ``(x, y)`` maps to ``p0 + x (p1 - p0) + y (p2 - p0)``.
+    ``(x, y)`` maps to ``p0 + x (p1 - p0) + y (p2 - p0)``, summed in that
+    order.  The result is a view of a coordinate-major (2, ne, n) array,
+    so each coordinate is one contiguous (ne, n) plane.
     """
     x, y = ref[:, 0], ref[:, 1]
-    return (
-        p[:, None, 0, :]
-        + x[None, :, None] * (p[:, 1, :] - p[:, 0, :])[:, None, :]
-        + y[None, :, None] * (p[:, 2, :] - p[:, 0, :])[:, None, :]
-    )
+    out = np.empty((2, p.shape[0], x.size))
+    for c, plane in enumerate(out):
+        p0 = p[:, 0, c, None]
+        np.multiply(p[:, 1, c, None] - p0, x, out=plane)
+        plane += p0
+        plane += (p[:, 2, c, None] - p0) * y
+    return np.moveaxis(out, 0, -1)
 
 
 def _edge_points(mesh, t, edges=slice(None)):
     """Physical points of reference parameters ``t`` on ``edges``, (..., len(t), 2).
 
     All edges by default, or edge ids of any shape; each edge's points
-    do not depend on the others.
+    do not depend on the others.  The point of ``t`` is ``mid + t half``
+    with the edge's midpoint and half its vector; as in
+    :func:`_affine_map`, each coordinate is one contiguous plane.
     """
     lo = mesh.vertices[mesh.edges[edges, 0]]
     hi = mesh.vertices[mesh.edges[edges, 1]]
     mid = 0.5 * (lo + hi)
     half = 0.5 * (hi - lo)
-    return mid[..., None, :] + t[:, None] * half[..., None, :]
+    out = np.empty((2,) + mid.shape[:-1] + t.shape)
+    for c, plane in enumerate(out):
+        np.multiply(half[..., c, None], t, out=plane)
+        plane += mid[..., c, None]
+    return np.moveaxis(out, 0, -1)
 
 
 def get_edge_rule(mesh, degree, edges=slice(None)):
@@ -480,7 +529,7 @@ def project_element(f, degree, mesh, quad_degree=None):
         pts, w = get_element_rule(mesh, qd, e)
         vals = _evaluate(f, pts[..., 0], pts[..., 1])
         V = basis.eval(pts, elements=e)
-        out[e] = np.einsum("eqn,eq,eq->en", V, vals, w, optimize=True)
+        out[e] = _einsum("eqn,eq,eq->en", V, vals, w)
 
     _for_chunks(mesh.n_triangles, chunk)
     return out
@@ -499,8 +548,8 @@ def project_edge(f, degree, mesh, quad_degree=None):
     vals = _evaluate(f, pts[..., 0], pts[..., 1])
     X = edge_basis(mesh, degree, t)
     if vals.ndim == w.ndim:
-        return np.einsum("eqn,eq,eq->en", X, vals, w, optimize=True)
-    return np.einsum("eqn,ceq,eq->ecn", X, vals, w, optimize=True)
+        return _einsum("eqn,eq,eq->en", X, vals, w)
+    return _einsum("eqn,ceq,eq->ecn", X, vals, w)
 
 
 def eval_element_poly(mesh, degree, coeffs, pts, dx=0, dy=0, elements=slice(None)):
@@ -509,10 +558,10 @@ def eval_element_poly(mesh, degree, coeffs, pts, dx=0, dy=0, elements=slice(None
     ``pts`` and ``coeffs`` are aligned with ``elements`` (all by default).
     """
     V = get_tri_basis(mesh, degree).eval(pts, dx=dx, dy=dy, elements=elements)
-    return np.einsum("e...n,en->e...", V, coeffs, optimize=True)
+    return _einsum("e...n,en->e...", V, coeffs)
 
 
 def eval_edge_poly(mesh, degree, coeffs, t):
     """Evaluate per-edge polynomials at reference parameters ``t``."""
     X = edge_basis(mesh, degree, t)
-    return np.einsum("eqn,e...n->e...q", X, coeffs, optimize=True)
+    return _einsum("eqn,e...n->e...q", X, coeffs)

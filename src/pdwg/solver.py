@@ -77,8 +77,14 @@ def _eliminate(system):
     # ``0.0 - y``, not ``-y``: a zero ``y`` keeps the +0 of ``[0; F] - y``.
     rhs_red = np.concatenate([0.0 - S[:, con][free_idx] @ g, system.F - B[:, con] @ g])
     B_f = B[:, free_idx]
-    K = sp.bmat([[S[free_idx][:, free_idx], B_f.T], [B_f, None]], format="csc")
-    return K, rhs_red, free_idx
+    n = free_idx.size + B.shape[0]
+    # Compressed stacking of CSR blocks; B_f widened to n columns stands
+    # for [B_f, 0], since a missing block would send scipy through COO.
+    upper = sp.hstack([S[free_idx][:, free_idx], B_f.T.tocsr()], format="csr")
+    lower = sp.csr_matrix((B_f.data, B_f.indices, B_f.indptr), shape=(B.shape[0], n))
+    K = sp.vstack([upper, lower], format="csr")
+    # K is exactly symmetric, so its CSR arrays are its CSC arrays.
+    return sp.csc_matrix((K.data, K.indices, K.indptr), shape=K.shape), rhs_red, free_idx
 
 
 def solve(system):

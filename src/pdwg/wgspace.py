@@ -43,6 +43,7 @@ from .polyquad import (
     GEOMETRY_EDGE_DEGREE,
     GEOMETRY_TRI_DEGREE,
     _affine_map,
+    _einsum,
     _evaluate,
     _for_chunks,
     edge_basis,
@@ -239,7 +240,7 @@ def _v0_columns(mesh, config, modal, elements):
 
 def _modal_coefficients(mesh, k, nodal):
     """Orthonormal coefficients (nt, n0) of per-element Lagrange nodal values (nt, n0)."""
-    return np.einsum("emn,en->em", nodal_to_modal(mesh, k), nodal, optimize=True)
+    return _einsum("emn,en->em", nodal_to_modal(mesh, k), nodal)
 
 
 @dataclass(frozen=True, eq=False)
@@ -368,7 +369,7 @@ def weak_hessian_local(mesh, config, elements=slice(None)):
 
     VS_tr = sb.eval(pe, elements=elements)
     # <vg_i, phi n_j>: moment of every vg basis function against phi.
-    Mg = np.einsum("etqm,etqr,etq->etmr", VS_tr, Xg, we, optimize=True)
+    Mg = _einsum("etqm,etqr,etq->etmr", VS_tr, Xg, we)
 
     if config.c0_type:
         VSd_vol = {1: sb.eval(pts, dx=1, elements=elements),
@@ -379,7 +380,7 @@ def weak_hessian_local(mesh, config, elements=slice(None)):
         VS_d = {1: sb.eval(pe, dx=1, elements=elements),
                 2: sb.eval(pe, dy=1, elements=elements)}
         Mb = {
-            j: np.einsum("etqm,etqr,etq->etmr", VS_d[j], Xb, we, optimize=True)
+            j: _einsum("etqm,etqr,etq->etmr", VS_d[j], Xb, we)
             for j in (1, 2)
         }
         V0 = tb.eval(pts, elements=elements)
@@ -391,16 +392,14 @@ def weak_hessian_local(mesh, config, elements=slice(None)):
         for j in (1, 2):
             H = np.zeros((ne, sb.dim, config.nloc))
             if config.c0_type:
-                A = -np.einsum(
-                    "eqm,eql,eq->eml", VSd_vol[j], V0d[i], w, optimize=True
-                )
+                A = -_einsum("eqm,eql,eq->eml", VSd_vol[j], V0d[i], w)
                 H[:, :, config.v0] = _v0_columns(mesh, config, A, elements)
             else:
                 dx = (i == 1) + (j == 1)
                 dy = (i == 2) + (j == 2)
                 if (dx, dy) not in H0:
                     VSd = sb.eval(pts, dx=dx, dy=dy, elements=elements)
-                    H0[dx, dy] = np.einsum("eqm,eql,eq->eml", VSd, V0, w, optimize=True)
+                    H0[dx, dy] = _einsum("eqm,eql,eq->eml", VSd, V0, w)
                 H[:, :, config.v0] = H0[dx, dy]
                 for ledge in range(3):
                     H[:, :, config.vb(ledge)] -= (
@@ -424,7 +423,7 @@ def apply_weak_hessian(v_local, hess, i, j):
     v_local = np.asarray(v_local, dtype=float)
     if v_local.ndim == 1:
         v_local = np.broadcast_to(v_local, (H.shape[0], H.shape[2]))
-    return np.einsum("enl,el->en", H, v_local, optimize=True)
+    return _einsum("enl,el->en", H, v_local)
 
 
 def project_weak(mesh, config, w, grad_w):

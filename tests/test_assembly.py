@@ -349,6 +349,23 @@ def constraint_whole_array(mesh, dm, problem):
     return B, F
 
 
+@pytest.mark.parametrize("c0", [True, False])
+def test_constraint_csr_is_canonical_as_built(unit_meshes, c0):
+    # Each element's columns are written in ascending global order, so B
+    # is sorted and free of duplicates as built: scipy's sort and sum of
+    # the same arrays change no bit.
+    mesh = unit_meshes[3]
+    config = SpaceConfig(k=3, multiplier_space="pkm1" if c0 else "pkm2", c0_type=c0)
+    dm = build_dof_map(mesh, config)
+    p = builtin("p4")
+    B, _ = assemble_constraint(mesh, dm, p.coeff, p.f, p.quad_degree)
+    assert B.has_canonical_format
+    M = sp.csr_matrix((B.data.copy(), B.indices.copy(), B.indptr.copy()), shape=B.shape)
+    M.has_canonical_format = False  # so that sum_duplicates sorts and sums
+    M.sum_duplicates()
+    assert_csr_bitwise_equal(M, B)
+
+
 @pytest.mark.parametrize("chunk", [_GRAM_CHUNK, 700])
 @pytest.mark.parametrize("c0", [True, False])
 def test_constraint_bitwise_equals_whole_array_formula(set_chunk, chunk, c0):

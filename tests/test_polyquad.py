@@ -1,16 +1,25 @@
 """Quadrature rules, orthonormal bases, and L2 projections."""
 
+import re
 import tracemalloc
 from math import factorial, perm
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import pdwg
+from pdwg.mesh import Mesh
 from pdwg.polyquad import (
     GEOMETRY_EDGE_DEGREE,
     MAX_EXACT_DEGREE,
     TriangleBasis,
+    _affine_map,
     _chunks,
+    _edge_points,
+    _einsum,
     edge_quadrature,
     eval_edge_poly,
     eval_element_poly,
@@ -286,6 +295,102 @@ def test_edge_basis_on_chosen_edges(unit_meshes):
             assert_bitwise_equal(got_w, w[edges])
             assert_bitwise_equal(got_t, t)
             assert_bitwise_equal(edge_basis(mesh, 2, t, edges), X[edges])
+
+
+# -- kernels against their broadcast formulas ----------------------------------
+# The point maps write one coordinate plane at a time and the contractions
+# reuse a cached path; each must hold the bits of the plain numpy
+# expression it replaces.
+
+def broadcast_affine_map(p, ref):
+    """``p0 + x (p1 - p0) + y (p2 - p0)`` broadcast over a trailing axis of length 2."""
+    x, y = ref[:, 0], ref[:, 1]
+    return (
+        p[:, None, 0, :]
+        + x[None, :, None] * (p[:, 1, :] - p[:, 0, :])[:, None, :]
+        + y[None, :, None] * (p[:, 2, :] - p[:, 0, :])[:, None, :]
+    )
+
+
+def broadcast_edge_points(mesh, t, edges):
+    """``mid + t half`` of each edge broadcast over a trailing axis of length 2."""
+    lo = mesh.vertices[mesh.edges[edges, 0]]
+    hi = mesh.vertices[mesh.edges[edges, 1]]
+    mid = 0.5 * (lo + hi)
+    half = 0.5 * (hi - lo)
+    return mid[..., None, :] + t[:, None] * half[..., None, :]
+
+
+@st.composite
+def far_triangles(draw):
+    """Up to 7 disjoint random CCW triangles of diameter 1e-4 to 10, up to 1e6 from the origin."""
+    nt = draw(st.integers(1, 7))
+    shift = np.array([draw(st.floats(-1e6, 1e6)) for _ in "xy"])
+    scale = draw(st.floats(1e-4, 10.0))
+    corners = []
+    for i in range(nt):
+        p = np.array([[draw(st.floats(-1.0, 1.0)) for _ in "xy"] for _ in range(3)])
+        d1, d2 = p[1] - p[0], p[2] - p[0]
+        cross = d1[0] * d2[1] - d1[1] * d2[0]
+        if abs(cross) < 1e-3:
+            p = np.array([[0.0, 0.0], [1.0, 0.0], [0.3, 0.8]])
+        elif cross < 0:
+            p = p[[0, 2, 1]]
+        corners.append(shift + scale * (p + [3.0 * i, 0.0]))
+    vertices = np.concatenate(corners)
+    return Mesh(vertices=vertices, triangles=np.arange(3 * nt).reshape(nt, 3),
+                region_tags=np.zeros(nt, dtype=int))
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(far_triangles(), st.sampled_from([0, 4, 8, 20]), st.sampled_from([1, 3]))
+def test_point_maps_are_bitwise_the_broadcast_formula(mesh, degree, size):
+    # On chunks of one element and of three (the last one partial unless
+    # the mesh has 3 or 6 elements), the mapped rules of elements and of
+    # their edges hold the bits of the broadcast formulas.
+    ref = triangle_quadrature(degree).points
+    t = get_edge_rule(mesh, degree)[2]
+    for start in range(0, mesh.n_triangles, size):
+        e = slice(start, start + size)
+        want = broadcast_affine_map(mesh.corners[e], ref)
+        assert_bitwise_equal(_affine_map(mesh.corners[e], ref), want)
+        assert_bitwise_equal(get_element_rule(mesh, degree, e)[0], want)
+        edges = mesh.tri_edges[e]
+        assert_bitwise_equal(_edge_points(mesh, t, edges), broadcast_edge_points(mesh, t, edges))
+        assert_bitwise_equal(get_edge_rule(mesh, degree, edges)[0],
+                             broadcast_edge_points(mesh, t, edges))
+    whole = slice(None)
+    assert_bitwise_equal(_edge_points(mesh, t), broadcast_edge_points(mesh, t, whole))
+
+
+SRC_TEXTS = [path.read_text() for path in Path(pdwg.__file__).parent.glob("*.py")]
+
+#: Every contraction spelled in ``src/pdwg``.
+SRC_EINSUM_SPECS = sorted({spec for text in SRC_TEXTS
+                           for spec in re.findall(r'_einsum\(\s*"([^"]+)"', text)})
+
+
+def test_einsum_is_bitwise_numpy_einsum_with_optimize():
+    # The cached path gives the bits of np.einsum(..., optimize=True) for
+    # every contraction of the package, on one element, on a few, and
+    # with any ellipsis, whether the path is new or cached.
+    assert "e...m,emn->e...n" in SRC_EINSUM_SPECS and len(SRC_EINSUM_SPECS) >= 12
+    # No other call: only _einsum's docstring and its body name np.einsum.
+    assert sum(text.count("np.einsum(") for text in SRC_TEXTS) == 2
+    rng = np.random.default_rng(23)
+    for spec in SRC_EINSUM_SPECS:
+        inputs = spec.replace("...", "*").split("->")[0].split(",")
+        for ne in (1, 3, 7):
+            for extra in (((), (3,), (2, 4)) if "*" in "".join(inputs) else ((),)):
+                sizes = {ch: int(rng.choice([1, 2, 3, 6, 25])) for ch in set("".join(inputs))}
+                sizes["e"] = ne
+                ops = [rng.standard_normal(tuple(d for ch in term
+                                                 for d in (extra if ch == "*" else (sizes[ch],))))
+                       * 10.0 ** rng.integers(-8, 8)
+                       for term in inputs]
+                want = np.einsum(spec, *ops, optimize=True)
+                for _ in range(2):
+                    assert_bitwise_equal(_einsum(spec, *ops), want)
 
 
 # -- chunk invariance ----------------------------------------------------------

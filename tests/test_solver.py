@@ -131,33 +131,31 @@ def test_error_decreases_under_refinement(unit_meshes):
 
 # -- elimination ---------------------------------------------------------------
 
-def _stacked_reduced_system(system):
-    """``K_red`` and the free DOFs as ``_eliminate`` built them with hstack and vstack.
+def _coo_reduced_system(system):
+    """``K_red`` and the free DOFs by one ``sp.bmat`` call with a missing block.
 
-    ``K_red`` is exactly symmetric, so the CSR arrays of the stacked
-    blocks are read as its CSC arrays.
+    The missing block sends scipy through COO, which sorts each column
+    and sums duplicates: a route independent of compressed stacking.
     """
     free_idx = np.flatnonzero(np.isin(np.arange(system.n_primal), system.constrained, invert=True))
     S, B = system.S, system.B
     B_f = B[:, free_idx]
-    n = free_idx.size + system.n_mult
-    lower = sp.csr_matrix((B_f.data, B_f.indices, B_f.indptr), shape=(system.n_mult, n))
-    K = sp.vstack([sp.hstack([S[free_idx][:, free_idx], B_f.T.tocsr()]), lower])
-    return sp.csc_matrix((K.data, K.indices, K.indptr), shape=K.shape), free_idx
+    K = sp.bmat([[S[free_idx][:, free_idx], B_f.T], [B_f, None]], format="csc")
+    return K, free_idx
 
 
 @pytest.mark.parametrize("config", ALL_VARIANTS, ids=lambda c: f"{c.multiplier_space}-{'c0' if c.c0_type else 'gen'}")
 @pytest.mark.parametrize("name", ["p1", "p2", "p4"])
 def test_reduced_system_is_the_stacked_blocks(config, name):
-    # One bmat call gives the bits, index dtypes included, of the blocks
-    # stacked one by one.
+    # Compressed stacking gives the bits, index dtypes included, of
+    # scipy's COO route.
     problem = builtin(name)
     mesh = build_initial_mesh(problem.domain)
     for _ in range(2):
         mesh = refine_uniform(mesh)
     system = build_saddle(mesh, config, problem)
     K_red, _, free_idx = _eliminate(system)
-    want, want_free = _stacked_reduced_system(system)
+    want, want_free = _coo_reduced_system(system)
     assert K_red.format == "csc"
     for attr in ("indptr", "indices"):
         assert getattr(K_red, attr).dtype == getattr(want, attr).dtype, attr
