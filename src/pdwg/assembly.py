@@ -374,8 +374,6 @@ def assemble_constraint(mesh, dofmap, coeff, f, quad_degree):
 
     sb = get_tri_basis(mesh, config.mult_degree)
     region = mesh.region_tags[:, None]
-    # The DOFs of one element are distinct, so ascending order is unique.
-    order = np.argsort(dofmap.element_primal, axis=1)
 
     B_local = np.empty((nt, ns, nloc))
     F_local = np.empty((nt, ns))
@@ -391,7 +389,9 @@ def assemble_constraint(mesh, dofmap, coeff, f, quad_degree):
         local = np.zeros(B_local[e].shape)
         for (i, j), H in weak_hessian_local(mesh, config, e).items():
             local += M[f"{min(i, j)}{max(i, j)}"] @ H
-        B_local[e] = np.take_along_axis(local, order[e, None, :], axis=2)
+        # The DOFs of one element are distinct, so ascending order is unique.
+        order = np.argsort(dofmap.element_primal[e], axis=1)
+        B_local[e] = np.take_along_axis(local, order[:, None, :], axis=2)
 
         fvals = _evaluate(f, x, y, "right-hand side", region=region[e])
         F_local[e] = _einsum("eqn,eq,eq->en", VS, fvals, w)
@@ -399,7 +399,8 @@ def assemble_constraint(mesh, dofmap, coeff, f, quad_degree):
     _for_chunks(nt, chunk)
     # Row n of element e is row e * ns + n; its columns are the element's DOFs, ascending.
     idx = _index_dtype(max(B_local.size, dofmap.n_mult, dofmap.n_primal))
-    cols = np.take_along_axis(dofmap.element_primal, order, axis=1).astype(idx)
+    cols = dofmap.element_primal.astype(idx)
+    cols.sort(axis=1)
     indptr = np.arange(0, B_local.size + 1, nloc, dtype=idx)
     B = sp.csr_matrix((B_local.reshape(-1), np.repeat(cols, ns, axis=0).reshape(-1), indptr),
                       shape=(dofmap.n_mult, dofmap.n_primal))
