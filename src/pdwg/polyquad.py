@@ -5,7 +5,11 @@ Gauss-Legendre in the other, through the Duffy map), so every point is
 strictly interior and every weight positive for any requested exactness
 degree.  Strictly interior points matter here because right-hand sides
 like ``|x|**(alpha - 2)`` blow up at mesh vertices while remaining
-integrable.
+integrable.  The Gauss-Jacobi nodes and weights are a fixed table of
+hex floats, those of ``scipy.special.roots_jacobi`` in the scipy named
+next to it, so the rules are the same bits under any installed scipy and
+the package never imports ``scipy.special``; the Gauss-Legendre factor is
+numpy's ``leggauss``.
 
 Each element carries its own orthonormal basis of ``P_k``: monomials are
 centered at the centroid, scaled by the element diameter, and
@@ -58,7 +62,6 @@ import threading
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import roots_jacobi
 
 from .mesh import _per_mesh
 
@@ -241,14 +244,119 @@ def _one_rule_per_degree(build):
     return rule
 
 
+#: scipy version whose ``scipy.special.roots_jacobi(n, 1.0, 0.0)`` gave
+#: :data:`_GAUSS_JACOBI` bit for bit.
+_GAUSS_JACOBI_SCIPY = "1.17.1"
+
+#: Gauss-Jacobi rules for the weight ``1 - t`` on [-1, 1] (alpha = 1,
+#: beta = 0): ``n`` maps to its ``n`` (node, weight) pairs as hex floats,
+#: nodes ascending, for every ``n`` that :func:`triangle_quadrature` takes.
+_GAUSS_JACOBI = {
+    1: (("-0x1.5555555555555p-2", "0x1.0000000000000p+1"),),
+    2: (("-0x1.613a4dcd41a8cp-1", "0x1.45aca3d575cb5p+0"),
+        ("0x1.28db0200e9b81p-2", "0x1.74a6b85514696p-1")),
+    3: (("-0x1.a54932ac4b548p-1", "0x1.9b8230f1da299p-1"),
+        ("-0x1.72d2df86e6ed9p-3", "0x1.d57c5c75b4cc5p-1"),
+        ("0x1.269033b297591p-1", "0x1.1e02e530e2142p-2")),
+    4: (("-0x1.c5867a44e5259p-1", "0x1.1584a60c8fa8ep-1"),
+        ("-0x1.c90687b262aa5p-2", "0x1.a0b2080bfdb5fp-1"),
+        ("0x1.5662ebd487287p-3", "0x1.09ed82d38b97fp-1"),
+        ("0x1.70e2ca456677bp-1", "0x1.fede789f384abp-4")),
+    5: (("-0x1.d73c15b79f3d3p-1", "0x1.8c6ada4e0dafap-2"),
+        ("-0x1.353bf8784132fp-1", "0x1.565fa81ab0087p-1"),
+        ("-0x1.fc1c403080601p-4", "0x1.2bccf0d0b5846p-1"),
+        ("0x1.904f92acb8e03p-2", "0x1.2ebb113d8a0aep-2"),
+        ("0x1.9b199e53f1236p-1", "0x1.02038a7674af7p-4")),
+    6: (("-0x1.e1fadfe073df9p-1", "0x1.282ee09a10673p-2"),
+        ("-0x1.685e1564bedb5p-1", "0x1.15974e069ecf0p-1"),
+        ("-0x1.4ddaf87feb03cp-2", "0x1.2057d8b053386p-1"),
+        ("0x1.e0a317ca931cap-4", "0x1.941db707609b1p-2"),
+        ("0x1.13b20aa194564p-1", "0x1.6814a9d0f3514p-3"),
+        ("0x1.b5313efdf2be1p-1", "0x1.1e5630418a367p-5")),
+    7: (("-0x1.e8fb29e9a5764p-1", "0x1.ca7c117182fd3p-3"),
+        ("-0x1.8a9193048cf9bp-1", "0x1.c4a55b1d5c43ep-2"),
+        ("-0x1.dfa995dc3e923p-2", "0x1.04e584cdadba0p-1"),
+        ("-0x1.8248525f48019p-4", "0x1.b6c8c5dbee193p-2"),
+        ("0x1.2dd317a1e6c75p-2", "0x1.0fe9664463035p-2"),
+        ("0x1.476efbee5396cp-1", "0x1.c10efaf07bac4p-4"),
+        ("0x1.c6631b7a04cfep-1", "0x1.55ba7b216c22ap-6")),
+    8: (("-0x1.edcb1a17aa69cp-1", "0x1.6cf5cef7c9bf5p-3"),
+        ("-0x1.a27c106adee1ap-1", "0x1.753938a8fca06p-2"),
+        ("-0x1.248c5166f60afp-1", "0x1.ccd2e195679abp-2"),
+        ("-0x1.06486de6465c7p-2", "0x1.b25eb749abef7p-2"),
+        ("0x1.722b58ae4088ep-4", "0x1.4466cc9ad01d5p-2"),
+        ("0x1.b49538c30d5edp-2", "0x1.743d28e734a5fp-3"),
+        ("0x1.6c2b407d6ea60p-1", "0x1.24568ed7e20e6p-4"),
+        ("0x1.d24b79f6f42d2p-1", "0x1.afe846f5003fbp-7")),
+    9: (("-0x1.f13ddf8f9b284p-1", "0x1.29307cd64afe0p-3"),
+        ("-0x1.b3d3cac7db562p-1", "0x1.3799a35c31523p-2"),
+        ("-0x1.4ba81345ff092p-1", "0x1.93981e02ec6dep-2"),
+        ("-0x1.85cd00fca2779p-2", "0x1.9add68efc7908p-2"),
+        ("-0x1.3789d97462c11p-4", "0x1.59881c9782906p-2"),
+        ("0x1.e3cee5c1c38f9p-3", "0x1.de6c2efae1a3bp-3"),
+        ("0x1.0d2179fb6c65bp-1", "0x1.048b8b8518205p-3"),
+        ("0x1.87164ddf01ec5p-1", "0x1.8b2ea5ff1330cp-5"),
+        ("0x1.dadf3b5dc4bd3p-1", "0x1.1dd915d26afd1p-7")),
+    10: (("-0x1.f3cbde803ee0ep-1", "0x1.ed267ca5b0fdep-4"),
+        ("-0x1.c0c94ec8b17ccp-1", "0x1.0751f7a2b5e69p-2"),
+        ("-0x1.695b9dbba9d7dp-1", "0x1.611f19b49a33ep-2"),
+        ("-0x1.e9251da413eabp-2", "0x1.7bafbcec95f4ep-2"),
+        ("-0x1.af8e20bed564ap-3", "0x1.5a588e4c43201p-2"),
+        ("0x1.2cf6c6a7d03a8p-4", "0x1.0e8dab7584542p-2"),
+        ("0x1.685591e68241cp-2", "0x1.638c651349d9ap-3"),
+        ("0x1.3433d17a8e2dep-1", "0x1.75238f5e2d7b1p-4"),
+        ("0x1.9b5a200c0298bp-1", "0x1.13e25f8fad621p-5"),
+        ("0x1.e14011c3be583p-1", "0x1.88fd9f7011580p-8")),
+    11: (("-0x1.f5bdc494383ecp-1", "0x1.9f9e56a91778ap-4"),
+        ("-0x1.cab737fcb4618p-1", "0x1.c20d87170d1dap-3"),
+        ("-0x1.8063d15e34ff9p-1", "0x1.35bd5e153db6ap-2"),
+        ("-0x1.1bcfac021a8d2p-1", "0x1.5ac3d6c95c874p-2"),
+        ("-0x1.47a9cd8b11047p-2", "0x1.4f607658f3e91p-2"),
+        ("-0x1.050444b81667ap-4", "0x1.1ccd749d57dcfp-2"),
+        ("0x1.9371e23584676p-3", "0x1.a6a2ecdaff402p-3"),
+        ("0x1.c712840d5d23ap-2", "0x1.0b6648f40e80ep-3"),
+        ("0x1.52c3c3325477ep-1", "0x1.11044d70803dep-4"),
+        ("0x1.aaf723a825316p-1", "0x1.8c182add6817ep-6"),
+        ("0x1.e61eac0bc3b80p-1", "0x1.16d580f407917p-8")),
+    12: (("-0x1.f74189b858059p-1", "0x1.62f5033ed0f34p-4"),
+        ("-0x1.d27ca0594c726p-1", "0x1.84876a259ba3bp-3"),
+        ("-0x1.9294bc80e621ap-1", "0x1.10d23d7a26756p-2"),
+        ("-0x1.3b3cc1039c057p-1", "0x1.3af7ee9af2d10p-2"),
+        ("-0x1.a30f58d1d44a1p-2", "0x1.3e3e7e3be0b5ep-2"),
+        ("-0x1.6e6847eb4c14fp-3", "0x1.1f2af8a6f186ap-2"),
+        ("0x1.fb1945653f17cp-5", "0x1.cfc7d5e808aacp-3"),
+        ("0x1.3261d363358acp-2", "0x1.4b614437b0a15p-3"),
+        ("0x1.09d44a925ae5cp-1", "0x1.9794c79267868p-4"),
+        ("0x1.6b0fd270bc6cbp-1", "0x1.9780ce54ce1b3p-5"),
+        ("0x1.b73c99233b8fcp-1", "0x1.234b801e911fdp-6"),
+        ("0x1.e9eba26f793a5p-1", "0x1.966b324c88602p-9")),
+    13: (("-0x1.f87566a2c935ap-1", "0x1.329f460745cb9p-4"),
+        ("-0x1.d8ae28878b120p-1", "0x1.527eed7705da2p-3"),
+        ("-0x1.a12eb7a89ba93p-1", "0x1.e2f35e6fd0922p-3"),
+        ("-0x1.54bc269f66be9p-1", "0x1.1d8bdea5ccfa8p-2"),
+        ("-0x1.ee56c7f58b50cp-2", "0x1.2a647180f1853p-2"),
+        ("-0x1.1a5ada9e8b444p-2", "0x1.19de5009b23f4p-2"),
+        ("-0x1.c12d6b60c5d3cp-5", "0x1.e450a2b891de0p-3"),
+        ("0x1.59e1e9fd0f643p-3", "0x1.78cc24b83e89fp-3"),
+        ("0x1.896c3fff50f48p-2", "0x1.05a04c0cd4ca7p-3"),
+        ("0x1.291eec8c8e4bep-1", "0x1.3acd2d698cc42p-4"),
+        ("0x1.7ea9daf0c984ap-1", "0x1.359f52cfa5100p-5"),
+        ("0x1.c10c8e4955bd2p-1", "0x1.b590bf9bd6b30p-7"),
+        ("0x1.ecf1678ba50d9p-1", "0x1.2f117524bad69p-9")),
+}
+
+
 @_one_rule_per_degree
 def triangle_quadrature(exact_degree):
     """Positive-weight interior rule on the reference triangle.
 
-    Exact for all polynomials of total degree ``exact_degree``.
+    Exact for all polynomials of total degree ``exact_degree``.  The
+    Gauss-Jacobi factor is read from :data:`_GAUSS_JACOBI`, a fixed table
+    (the Gauss-Legendre factor is numpy's ``leggauss``), so a rule does
+    not depend on the installed scipy.
     """
     n = max(1, (exact_degree + 2) // 2)  # ceil((exact_degree + 1) / 2)
-    tj, wj = roots_jacobi(n, 1.0, 0.0)  # weight (1 - t) on [-1, 1]
+    tj, wj = np.array([[float.fromhex(v) for v in pair] for pair in _GAUSS_JACOBI[n]]).T
     tl, wl = np.polynomial.legendre.leggauss(n)
     u = 0.5 * (tj + 1.0)
     wu = 0.25 * wj

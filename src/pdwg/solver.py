@@ -8,15 +8,22 @@ Failure to factorize, a factorization that runs out of memory, a
 non-finite solution, or a residual above tolerance raise
 :class:`SolverError` naming the suspect block or the cause and the
 sizes of the reduced system and, once computed, of its factors.
+
+``spla`` is ``scipy.sparse.linalg`` bound at module level, loaded lazily:
+a process that only assembles never executes it, and the first
+:func:`solve` does.  It stays one module-level name, read by ``solve``,
+because the benchmark's per-layer tracer swaps it for a proxy that
+traces ``splu`` and each factor's ``solve``.
 """
 
 from __future__ import annotations
 
+import importlib.util
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .polyquad import eval_element_poly
 
@@ -24,6 +31,31 @@ __all__ = ["SolverError", "WgSolution", "solve"]
 
 #: Relative algebraic residual every solve must meet.
 RESIDUAL_RTOL = 1e-9
+
+
+def _lazy_module(name):
+    """The module ``name``, executed at its first attribute access.
+
+    ``importlib.util.LazyLoader``'s recipe.  The module is entered in
+    ``sys.modules`` and on its parent package, as an import would, so a
+    later ``import name`` gets it (and executes it then).  An already
+    imported module is returned as it is.  Before Python 3.12 a lazy
+    module is not thread-safe on its first access; only :func:`solve`,
+    on the caller's thread, touches ``spla``.
+    """
+    module = sys.modules.get(name)
+    if module is None:
+        spec = importlib.util.find_spec(name)
+        spec.loader = importlib.util.LazyLoader(spec.loader)
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[name] = module
+        spec.loader.exec_module(module)
+        parent, _, child = name.rpartition(".")
+        setattr(sys.modules[parent], child, module)
+    return module
+
+
+spla = _lazy_module("scipy.sparse.linalg")
 
 
 class SolverError(RuntimeError):
@@ -106,8 +138,11 @@ def solve(system):
     rhs_norm = float(np.linalg.norm(rhs_red))
     sizes = f"K_red order {K_red.shape[0]}, nnz {K_red.nnz}"
 
+    # Outside the try: a failed first load of scipy.sparse.linalg (or a
+    # MemoryError in it) is not a factorization that ran out of memory.
+    splu = spla.splu
     try:
-        lu = spla.splu(K_red)
+        lu = splu(K_red)
     except RuntimeError as exc:
         raise SolverError(
             "sparse factorization failed: the saddle system is singular or "

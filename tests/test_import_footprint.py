@@ -1,0 +1,68 @@
+"""What of scipy a ``pdwg`` process loads, and when, in fresh interpreters.
+
+``pdwg`` never imports ``scipy.special`` (the triangle rules come from a
+fixed table), and ``pdwg.solver`` binds ``scipy.sparse.linalg`` lazily,
+so it is executed by the first solve and not by ``import pdwg``.  The
+pytest process has imported all of these already, so each check runs a
+script in a new interpreter.  Modules are counted beyond those a bare
+``import scipy.sparse`` loads, so the checks hold on a scipy whose
+``scipy.sparse`` imports more by itself.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def run_fresh(script):
+    """The last stdout line of ``script``, run by a new interpreter with ``src`` on the path."""
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          timeout=120, check=True, env={**os.environ, "PYTHONPATH": path})
+    return done.stdout.splitlines()[-1]
+
+
+FOOTPRINT = """
+import json, sys
+import scipy.sparse
+baseline = set(sys.modules)
+loaded = lambda: sorted(set(sys.modules) - baseline)
+
+import pdwg
+problem = pdwg.builtin("p1")
+mesh = pdwg.build_initial_mesh(problem.domain)
+after_import = loaded()
+pdwg.solve(pdwg.build_saddle(pdwg.refine_uniform(mesh), pdwg.SpaceConfig(k=2), problem))
+print(json.dumps([after_import, loaded()]))
+"""
+
+
+def test_import_and_solve_load_only_what_they_use():
+    after_import, after_solve = json.loads(run_fresh(FOOTPRINT))
+    assert "scipy.sparse.linalg._dsolve" not in after_import
+    assert "scipy.sparse.linalg._dsolve" in after_solve
+    # after_solve holds after_import too.
+    assert not [m for m in after_solve if m.startswith("scipy.special")]
+
+
+@pytest.mark.parametrize("user_import", [
+    "import scipy.sparse.linalg\nspsolve = scipy.sparse.linalg.spsolve",
+    "from scipy.sparse.linalg import spsolve",
+], ids=["import", "from-import"])
+def test_user_code_imports_sparse_linalg_after_pdwg(user_import):
+    script = f"""
+import sys
+import numpy as np
+import scipy.sparse
+import pdwg
+{user_import}
+x = spsolve(scipy.sparse.csc_matrix(np.diag([2.0, 4.0])), np.array([2.0, 4.0]))
+print(x.tolist(), sys.modules["scipy.sparse.linalg"] is pdwg.solver.spla)
+"""
+    assert run_fresh(script) == "[1.0, 1.0] True"

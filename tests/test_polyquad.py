@@ -7,8 +7,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import roots_jacobi
 
 import pdwg
 from pdwg.mesh import Mesh
@@ -16,6 +18,8 @@ from pdwg.polyquad import (
     GEOMETRY_EDGE_DEGREE,
     MAX_EXACT_DEGREE,
     TriangleBasis,
+    _GAUSS_JACOBI,
+    _GAUSS_JACOBI_SCIPY,
     _affine_map,
     _chunks,
     _edge_points,
@@ -80,6 +84,42 @@ def test_triangle_rule_degree_validation():
                 rule(bad)
         # One cached rule per degree, whatever integer type names it.
         assert rule(np.int64(3)) is rule(3)
+
+
+def gauss_jacobi_from_table(n):
+    """(nodes, weights) of the table's n-point rule."""
+    return np.array([[float.fromhex(v) for v in pair] for pair in _GAUSS_JACOBI[n]]).T
+
+
+def test_gauss_jacobi_table_covers_every_rule():
+    n_max = (MAX_EXACT_DEGREE + 2) // 2
+    assert sorted(_GAUSS_JACOBI) == list(range(1, n_max + 1))
+    for n in _GAUSS_JACOBI:
+        nodes, weights = gauss_jacobi_from_table(n)
+        assert nodes.size == n
+        assert np.all(np.diff(nodes) > 0) and -1 < nodes[0] and nodes[-1] < 1
+        assert np.all(weights > 0)
+
+
+@pytest.mark.parametrize("n", range(1, 14))
+def test_gauss_jacobi_table_is_scipy_roots_jacobi(n):
+    # Within 2 ulp of any scipy's roots_jacobi, and its bits on the scipy
+    # the table was written from.
+    nodes, weights = gauss_jacobi_from_table(n)
+    for got, want in zip((nodes, weights), roots_jacobi(n, 1.0, 0.0)):
+        assert np.all(np.abs(got - want) <= 2 * np.spacing(np.abs(want)))
+        if scipy.__version__ == _GAUSS_JACOBI_SCIPY:
+            assert_bitwise_equal(got, want)
+
+
+@pytest.mark.parametrize("n", range(1, 14))
+def test_gauss_jacobi_table_exactness(n):
+    # The n-point rule for the weight 1 - t integrates (1 - t) t^m exactly
+    # for m <= 2n - 1.
+    nodes, weights = gauss_jacobi_from_table(n)
+    for m in range(2 * n):
+        exact = (1 - (-1) ** (m + 1)) / (m + 1) - (1 - (-1) ** (m + 2)) / (m + 2)
+        assert np.sum(weights * nodes**m) == pytest.approx(exact, abs=1e-14), m
 
 
 # -- edge rules ------------------------------------------------------------

@@ -212,6 +212,19 @@ def test_out_of_memory_factorization_is_a_solver_error(unit_meshes, splu_out_of_
     assert isinstance(info.value.__cause__, MemoryError)
 
 
+def test_failed_load_of_sparse_linalg_is_not_a_factorization_error(unit_meshes, monkeypatch):
+    # ``spla`` is loaded at the first solve; a MemoryError while loading it
+    # must reach the caller as it is, not as a factorization that ran out
+    # of memory.
+    class Unloadable:
+        def __getattr__(self, name):
+            raise MemoryError
+
+    monkeypatch.setattr(pdwg.solver, "spla", Unloadable())
+    with pytest.raises(MemoryError):
+        solve(build_saddle(unit_meshes[1], SpaceConfig(k=2), builtin("p1")))
+
+
 def test_solve_deterministic(unit_meshes):
     mesh = unit_meshes[2]
     config = SpaceConfig(k=2, multiplier_space="pkm1", c0_type=True)
