@@ -25,6 +25,7 @@ usual rate.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -135,7 +136,8 @@ def error_norms(sol, problem):
 
     u0 = sol.u0
     ih = lagrange_interpolant(problem.exact_u, mesh, k)
-    e0 = float(np.linalg.norm(u0 - ih))
+    # math.fsum, not a BLAS dot, here and below: the BLAS thread count moves a dot's last bits.
+    e0 = math.sqrt(math.fsum(np.square(u0 - ih).ravel()))
 
     nt = mesh.n_triangles
     sq = np.empty((nt, triangle_quadrature(qd).weights.size))
@@ -155,8 +157,8 @@ def error_norms(sol, problem):
     dg = sol.ug - ig
     eg = float(np.sqrt(np.sum(wsum * np.sum(dg**2, axis=(1, 2)))))
 
-    gamma = float(np.linalg.norm(sol.lam_vec))
-    s_energy = float(sol.primal @ (system.S @ sol.primal))
+    gamma = math.sqrt(math.fsum(np.square(sol.lam_vec)))
+    s_energy = math.fsum(sol.primal * (system.S @ sol.primal))
 
     return LevelErrors(
         level=mesh.level,

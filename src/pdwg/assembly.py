@@ -451,16 +451,21 @@ def build_saddle(mesh, config, problem):
     return SaddleSystem(S=S, B=B, F=F, constrained_values=values, dofmap=dofmap, mesh=mesh)
 
 
+def _saddle_csr(S, B):
+    """``[[S, B^T], [B, 0]]`` in CSR, stacked without COO: ``B`` widened stands for ``[B, 0]``."""
+    lower = sp.csr_matrix((B.data, B.indices, B.indptr), shape=(B.shape[0], sum(B.shape)))
+    return sp.vstack([sp.hstack([S, B.T.tocsr()], format="csr"), lower], format="csr")
+
+
 def dump_system(system, target):
     """Write the block matrix ``[[S, B^T], [B, 0]]`` as ASCII coordinate triplets.
 
     First line ``n_primal n_multiplier nnz``, then one ``row col value``
     line per stored entry, sorted by row then column, values with 17
-    significant digits.  Only this function forms the block matrix.
+    significant digits.
     """
-    K = sp.bmat([[system.S, system.B.T], [system.B, None]], format="csr")
-    rows = np.repeat(np.arange(K.shape[0]), np.diff(K.indptr))
+    K = _saddle_csr(system.S, system.B).tocoo()
     lines = [f"{system.n_primal} {system.n_mult} {K.nnz}"]
-    for r, c, v in zip(rows, K.indices, K.data):
+    for r, c, v in zip(K.row, K.col, K.data):
         lines.append(f"{r} {c} {v:.17g}")
     _write_text("\n".join(lines) + "\n", target)

@@ -9,22 +9,22 @@ non-finite solution, or a residual above tolerance raise
 :class:`SolverError` naming the suspect block or the cause and the
 sizes of the reduced system and, once computed, of its factors.
 
-``spla`` is ``scipy.sparse.linalg`` bound at module level, loaded lazily:
-a process that only assembles never executes it, and the first
-:func:`solve` does.  It stays one module-level name, read by ``solve``,
-because the benchmark's per-layer tracer swaps it for a proxy that
-traces ``splu`` and each factor's ``solve``.
+``spla`` is a module-level stand-in for ``scipy.sparse.linalg`` that
+imports it at the first attribute read: a process that only assembles
+never imports it, and the first :func:`solve` does.  It stays one
+module-level name, read by ``solve``, because the benchmark's per-layer
+tracer swaps it for a proxy that traces ``splu`` and each factor's
+``solve``.
 """
 
 from __future__ import annotations
 
-import importlib.util
-import sys
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
 
+from .assembly import _saddle_csr
 from .polyquad import eval_element_poly
 
 __all__ = ["SolverError", "WgSolution", "solve"]
@@ -33,29 +33,15 @@ __all__ = ["SolverError", "WgSolution", "solve"]
 RESIDUAL_RTOL = 1e-9
 
 
-def _lazy_module(name):
-    """The module ``name``, executed at its first attribute access.
+class _SparseLinalg:
+    """``scipy.sparse.linalg``'s attributes, the module imported at the first read."""
 
-    ``importlib.util.LazyLoader``'s recipe.  The module is entered in
-    ``sys.modules`` and on its parent package, as an import would, so a
-    later ``import name`` gets it (and executes it then).  An already
-    imported module is returned as it is.  Before Python 3.12 a lazy
-    module is not thread-safe on its first access; only :func:`solve`,
-    on the caller's thread, touches ``spla``.
-    """
-    module = sys.modules.get(name)
-    if module is None:
-        spec = importlib.util.find_spec(name)
-        spec.loader = importlib.util.LazyLoader(spec.loader)
-        module = importlib.util.module_from_spec(spec)
-        sys.modules[name] = module
-        spec.loader.exec_module(module)
-        parent, _, child = name.rpartition(".")
-        setattr(sys.modules[parent], child, module)
-    return module
+    def __getattr__(self, name):
+        import scipy.sparse.linalg
+        return getattr(scipy.sparse.linalg, name)
 
 
-spla = _lazy_module("scipy.sparse.linalg")
+spla = _SparseLinalg()
 
 
 class SolverError(RuntimeError):
@@ -102,19 +88,11 @@ def _eliminate(system):
     with ``g`` the values of the constrained DOFs ``c``.
     """
     con, g = system.constrained, system.constrained_values
-    free = np.ones(system.n_primal, dtype=bool)
-    free[con] = False
-    free_idx = np.flatnonzero(free)
+    free_idx = np.setdiff1d(np.arange(system.n_primal), con, assume_unique=True)
     S, B = system.S, system.B
     # ``0.0 - y``, not ``-y``: a zero ``y`` keeps the +0 of ``[0; F] - y``.
     rhs_red = np.concatenate([0.0 - S[:, con][free_idx] @ g, system.F - B[:, con] @ g])
-    B_f = B[:, free_idx]
-    n = free_idx.size + B.shape[0]
-    # Compressed stacking of CSR blocks; B_f widened to n columns stands
-    # for [B_f, 0], since a missing block would send scipy through COO.
-    upper = sp.hstack([S[free_idx][:, free_idx], B_f.T.tocsr()], format="csr")
-    lower = sp.csr_matrix((B_f.data, B_f.indices, B_f.indptr), shape=(B.shape[0], n))
-    K = sp.vstack([upper, lower], format="csr")
+    K = _saddle_csr(S[free_idx][:, free_idx], B[:, free_idx])
     # K is exactly symmetric, so its CSR arrays are its CSC arrays.
     return sp.csc_matrix((K.data, K.indices, K.indptr), shape=K.shape), rhs_red, free_idx
 

@@ -1,7 +1,11 @@
 """Shared fixtures (mesh hierarchies, a session-wide study cache) and helpers."""
 
+import os
+import subprocess
+import sys
 import types
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -71,6 +75,18 @@ def assert_bitwise_equal(got, want):
 def owned_size(arr):
     """Entries of the array that holds the memory of ``arr``."""
     return (arr if arr.base is None else arr.base).size
+
+
+def run_fresh(script, **env):
+    """The last stdout line of ``script``, run by a new interpreter with ``src`` on the path.
+
+    ``env`` entries are added to this process's environment for the run.
+    """
+    src = Path(__file__).resolve().parents[1] / "src"
+    path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          timeout=120, check=True, env={**os.environ, **env, "PYTHONPATH": path})
+    return done.stdout.splitlines()[-1]
 
 
 def quadratic_problem():

@@ -30,7 +30,7 @@ from pdwg.problems import builtin
 from pdwg.solver import solve
 from pdwg.wgspace import SpaceConfig, interpolate_weak, project_weak
 
-from conftest import CHUNKS, assert_bitwise_equal, quadratic_problem
+from conftest import CHUNKS, assert_bitwise_equal, quadratic_problem, run_fresh
 
 
 # -- interpolants ---------------------------------------------------------------
@@ -204,6 +204,23 @@ def test_error_norms_equals_study_row(unit_meshes, c0):
     config = SpaceConfig(c0_type=c0)
     direct = error_norms(solve(build_saddle(unit_meshes[1], config, prob)), prob)
     assert direct == run_study(prob, config, levels=2).rows[-1]
+
+
+def test_study_rows_do_not_depend_on_the_blas_thread_count():
+    # A BLAS dot splits its sum over threads, so its last bits follow the
+    # thread count; the reported norms are sums of their own.  At level 3
+    # a dot gave s_energy a different last hex digit at 1 and 2 threads.
+    script = """
+import json
+from dataclasses import astuple
+import pdwg
+config = pdwg.SpaceConfig(k=3, multiplier_space="pkm1", c0_type=False)
+table = pdwg.run_study(pdwg.builtin("p3"), config, levels=4)
+print(json.dumps([[v.hex() if isinstance(v, float) else v for v in astuple(row)]
+                  for row in table.rows]))
+"""
+    one, two = (run_fresh(script, OPENBLAS_NUM_THREADS=n) for n in ("1", "2"))
+    assert one == two
 
 
 # -- discrete norms -------------------------------------------------------------

@@ -1,8 +1,8 @@
 """What of scipy a ``pdwg`` process loads, and when, in fresh interpreters.
 
 ``pdwg`` never imports ``scipy.special`` (the triangle rules come from a
-fixed table), and ``pdwg.solver`` binds ``scipy.sparse.linalg`` lazily,
-so it is executed by the first solve and not by ``import pdwg``.  The
+fixed table), and ``pdwg.solver`` reads ``scipy.sparse.linalg`` through
+a proxy that imports it at the first solve, not at ``import pdwg``.  The
 pytest process has imported all of these already, so each check runs a
 script in a new interpreter.  Modules are counted beyond those a bare
 ``import scipy.sparse`` loads, so the checks hold on a scipy whose
@@ -10,23 +10,10 @@ script in a new interpreter.  Modules are counted beyond those a bare
 """
 
 import json
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parents[1] / "src"
-
-
-def run_fresh(script):
-    """The last stdout line of ``script``, run by a new interpreter with ``src`` on the path."""
-    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
-    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
-                          timeout=120, check=True, env={**os.environ, "PYTHONPATH": path})
-    return done.stdout.splitlines()[-1]
-
+from conftest import run_fresh
 
 FOOTPRINT = """
 import json, sys
@@ -57,12 +44,25 @@ def test_import_and_solve_load_only_what_they_use():
 ], ids=["import", "from-import"])
 def test_user_code_imports_sparse_linalg_after_pdwg(user_import):
     script = f"""
-import sys
 import numpy as np
 import scipy.sparse
 import pdwg
 {user_import}
 x = spsolve(scipy.sparse.csc_matrix(np.diag([2.0, 4.0])), np.array([2.0, 4.0]))
-print(x.tolist(), sys.modules["scipy.sparse.linalg"] is pdwg.solver.spla)
+print(x.tolist(), spsolve is pdwg.solver.spla.spsolve)
 """
     assert run_fresh(script) == "[1.0, 1.0] True"
+
+
+def test_assembly_leaves_sparse_linalg_out_of_sys_modules():
+    script = """
+import sys
+import pdwg
+problem = pdwg.builtin("p1")
+mesh = pdwg.refine_uniform(pdwg.build_initial_mesh(problem.domain))
+system = pdwg.build_saddle(mesh, pdwg.SpaceConfig(k=2), problem)
+assembled = "scipy.sparse.linalg" in sys.modules
+pdwg.solve(system)
+print(assembled, "scipy.sparse.linalg" in sys.modules)
+"""
+    assert run_fresh(script) == "False True"

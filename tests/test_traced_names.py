@@ -59,5 +59,5 @@ def test_solver_binds_sparse_linalg_at_module_level():
     # The tracer swaps this binding for a proxy that traces splu and each
     # factor's solve.  ``solve`` must read that global: an import of
     # ``scipy.sparse.linalg`` or ``splu`` inside it would bypass the proxy.
-    assert pdwg.solver.spla is scipy.sparse.linalg
+    assert pdwg.solver.spla.splu is scipy.sparse.linalg.splu
     assert "spla" in pdwg.solver.solve.__code__.co_names
