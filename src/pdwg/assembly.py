@@ -20,6 +20,10 @@ with Dirichlet data imposed strongly: constrained DOFs (boundary ``vb``
 blocks, or boundary Lagrange nodes in the C0 variant) are fixed to
 projected/interpolated boundary values and eliminated symmetrically at
 solve time, their contributions moved to the right-hand side.
+
+Only the functions that build sparse matrices import ``scipy.sparse``,
+so ``import pdwg``, meshes, spaces and problems load numpy alone and the
+first assembly loads ``scipy.sparse``.
 """
 
 from __future__ import annotations
@@ -27,7 +31,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from .mesh import _write_text
 from .polyquad import (
@@ -119,8 +122,8 @@ class SaddleSystem:
     :func:`build_saddle` builds a complete system in one step.
     """
 
-    S: sp.csr_matrix
-    B: sp.csr_matrix
+    S: "scipy.sparse.csr_matrix"
+    B: "scipy.sparse.csr_matrix"
     F: np.ndarray
     constrained_values: np.ndarray
     dofmap: object
@@ -190,6 +193,7 @@ def _summed_csr(data, indices, indptr, shape):
     keeps the memory of ``data`` and ``indices``, shrunk in place to the
     entries kept, so nothing else may hold a view of them.
     """
+    import scipy.sparse as sp
     M = sp.csr_matrix((data, indices, indptr), shape=shape)
     M.sum_duplicates()
     M.eliminate_zeros()
@@ -368,6 +372,7 @@ def assemble_constraint(mesh, dofmap, coeff, f, quad_degree):
     CSR data in canonical form (sorted, no duplicates), and B keeps their
     memory.  ``F`` is the local loads in the same order.
     """
+    import scipy.sparse as sp
     config = dofmap.config
     qd = max(quad_degree, GEOMETRY_TRI_DEGREE(config.k))
     nt, ns, nloc = mesh.n_triangles, config.ns, config.nloc
@@ -453,6 +458,7 @@ def build_saddle(mesh, config, problem):
 
 def _saddle_csr(S, B):
     """``[[S, B^T], [B, 0]]`` in CSR, stacked without COO: ``B`` widened stands for ``[B, 0]``."""
+    import scipy.sparse as sp
     lower = sp.csr_matrix((B.data, B.indices, B.indptr), shape=(B.shape[0], sum(B.shape)))
     return sp.vstack([sp.hstack([S, B.T.tocsr()], format="csr"), lower], format="csr")
 

@@ -104,7 +104,10 @@ def main(argv=None):
     final = {}
 
     def _grab(sol, row):
-        final["sol"] = sol
+        # Only the finest level is dumped; holding a coarser one would keep
+        # its system alive while the next level is built and factored.
+        if row.level == args.levels - 1:
+            final["sol"] = sol
 
     try:
         table = run_study(

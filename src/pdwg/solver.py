@@ -9,12 +9,13 @@ non-finite solution, or a residual above tolerance raise
 :class:`SolverError` naming the suspect block or the cause and the
 sizes of the reduced system and, once computed, of its factors.
 
-``spla`` is a module-level stand-in for ``scipy.sparse.linalg`` that
-imports it at the first attribute read: a process that only assembles
-never imports it, and the first :func:`solve` does.  It stays one
-module-level name, read by ``solve``, because the benchmark's per-layer
-tracer swaps it for a proxy that traces ``splu`` and each factor's
-``solve``.
+Importing this module loads no scipy: the elimination imports
+``scipy.sparse``, as the assembly does.  ``spla`` is a module-level
+stand-in for ``scipy.sparse.linalg`` that imports it at the first
+attribute read: a process that only assembles never imports it, and the
+first :func:`solve` does.  It stays one module-level name, read by
+``solve``, because the benchmark's per-layer tracer swaps it for a proxy
+that traces ``splu`` and each factor's ``solve``.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from .assembly import _saddle_csr
 from .polyquad import eval_element_poly
@@ -87,6 +87,7 @@ def _eliminate(system):
     ``K_red = [[S_ff, B_f^T], [B_f, 0]]`` and ``rhs_red = [0; F] - [S_fc g; B_c g]``,
     with ``g`` the values of the constrained DOFs ``c``.
     """
+    import scipy.sparse as sp
     con, g = system.constrained, system.constrained_values
     free_idx = np.setdiff1d(np.arange(system.n_primal), con, assume_unique=True)
     S, B = system.S, system.B
@@ -121,13 +122,16 @@ def solve(system):
     splu = spla.splu
     try:
         lu = splu(K_red)
-    except RuntimeError as exc:
-        raise SolverError(
-            "sparse factorization failed: the saddle system is singular or "
-            "numerically rank-deficient; the constraint block B is the usual "
-            f"suspect (mesh too coarse for the multiplier space); {sizes}"
-        ) from exc
-    except MemoryError as exc:
+    except (MemoryError, SystemError, RuntimeError) as exc:
+        # SuperLU reports a failed allocation as MemoryError, as SystemError
+        # (after "Can't expand MemType"), or as a RuntimeError naming malloc
+        # ("SUPERLU_MALLOC fails for ...", "Malloc fails for ...", ...).
+        if isinstance(exc, RuntimeError) and "malloc fails" not in str(exc).lower():
+            raise SolverError(
+                "sparse factorization failed: the saddle system is singular or "
+                "numerically rank-deficient; the constraint block B is the usual "
+                f"suspect (mesh too coarse for the multiplier space); {sizes}"
+            ) from exc
         raise SolverError(
             "sparse factorization ran out of memory: the LU factors of K_red "
             f"do not fit; {sizes}"

@@ -238,14 +238,34 @@ def set_workers(monkeypatch):
     return lambda n: monkeypatch.setattr(pdwg.polyquad, "_WORKERS", n)
 
 
+#: What SuperLU raises when an allocation fails: the texts of its
+#: allocation aborts, and the ``SystemError`` that follows "Can't expand
+#: MemType" under a tight address-space limit.
+SUPERLU_ALLOCATION_FAILURES = [
+    RuntimeError("SUPERLU_MALLOC fails for buf in intCalloc()"),
+    RuntimeError("dLUWorkInit: malloc fails for local iworkptr[]"),
+    RuntimeError("Malloc fails for local work[]."),
+    SystemError("gstrf was called with invalid arguments"),
+]
+
+
 @pytest.fixture()
-def splu_out_of_memory(monkeypatch):
+def splu_raises(monkeypatch):
+    """Make every factorization raise the exception passed to the returned function."""
+
+    def install(exc):
+        def splu(K):
+            raise exc
+
+        monkeypatch.setattr(pdwg.solver, "spla", types.SimpleNamespace(splu=splu))
+
+    return install
+
+
+@pytest.fixture()
+def splu_out_of_memory(splu_raises):
     """Make every factorization raise ``MemoryError``, as SuperLU does when out of memory."""
-
-    def splu(K):
-        raise MemoryError
-
-    monkeypatch.setattr(pdwg.solver, "spla", types.SimpleNamespace(splu=splu))
+    splu_raises(MemoryError())
 
 
 @pytest.fixture()

@@ -1,9 +1,11 @@
 """Command-line driver: flag validation, outputs, determinism, entry points."""
 
+import gc
 import os
 import re
 import subprocess
 import sys
+import weakref
 from dataclasses import replace
 from pathlib import Path
 
@@ -15,6 +17,8 @@ import pdwg.cli
 from pdwg.analysis import CSV_HEADER, LOGLOG_HEADER
 from pdwg.cli import build_parser, main
 from pdwg.problems import builtin
+
+from conftest import SUPERLU_ALLOCATION_FAILURES
 
 
 # -- flag validation (exit code 2) ----------------------------------------------
@@ -151,6 +155,44 @@ def test_out_of_memory_factorization_exits_3(tmp_path, capsys, splu_out_of_memor
     assert len(err) == 1
     assert err[0].startswith("solver failure: sparse factorization ran out of memory: ")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("exc", SUPERLU_ALLOCATION_FAILURES, ids=str)
+def test_superlu_allocation_failure_exits_3(tmp_path, capsys, splu_raises, exc):
+    # SuperLU's allocation aborts other than MemoryError stop the study the
+    # same way, not as a singular system.
+    splu_raises(exc)
+    out = tmp_path / "oom.csv"
+    assert main(["--problem", "p1", "--levels", "2", "--out", str(out)]) == 3
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("solver failure: sparse factorization ran out of memory: ")
+    assert not out.exists()
+
+
+def test_dump_system_frees_each_coarser_level(tmp_path, monkeypatch):
+    # Only the finest level is dumped, so no coarser solution may be alive
+    # when the next level is assembled.
+    solutions, alive = [], []
+    real_build, real_solve = pdwg.analysis.build_saddle, pdwg.analysis.solve
+
+    def build_saddle(*args):
+        gc.collect()
+        alive.append([ref() is not None for ref in solutions])
+        return real_build(*args)
+
+    def solve(system):
+        sol = real_solve(system)
+        solutions.append(weakref.ref(sol))
+        return sol
+
+    monkeypatch.setattr(pdwg.analysis, "build_saddle", build_saddle)
+    monkeypatch.setattr(pdwg.analysis, "solve", solve)
+    assert main([
+        "--problem", "p1", "--levels", "3",
+        "--out", str(tmp_path / "s.csv"), "--dump-system", str(tmp_path / "system.txt"),
+    ]) == 0
+    assert alive == [[], [False], [False, False]]
 
 
 def test_dump_system(tmp_path, capsys):

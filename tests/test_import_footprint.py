@@ -1,11 +1,13 @@
 """What of scipy a ``pdwg`` process loads, and when, in fresh interpreters.
 
-``pdwg`` never imports ``scipy.special`` (the triangle rules come from a
-fixed table), and ``pdwg.solver`` reads ``scipy.sparse.linalg`` through
-a proxy that imports it at the first solve, not at ``import pdwg``.  The
-pytest process has imported all of these already, so each check runs a
-script in a new interpreter.  Modules are counted beyond those a bare
-``import scipy.sparse`` loads, so the checks hold on a scipy whose
+``import pdwg``, problems, meshes and the Cordes check load numpy only;
+the first assembly imports ``scipy.sparse``.  ``pdwg`` never imports
+``scipy.special`` (the triangle rules come from a fixed table), and
+``pdwg.solver`` reads ``scipy.sparse.linalg`` through a proxy that
+imports it at the first solve.  The pytest process has imported all of
+these already, so each check runs a script in a new interpreter.  The
+checks that take a bare ``import scipy.sparse`` as their baseline count
+only the modules beyond it, so they hold on a scipy whose
 ``scipy.sparse`` imports more by itself.
 """
 
@@ -66,3 +68,31 @@ pdwg.solve(system)
 print(assembled, "scipy.sparse.linalg" in sys.modules)
 """
     assert run_fresh(script) == "False True"
+
+
+def test_import_problems_meshes_and_bad_flags_load_no_scipy():
+    script = """
+import json, sys
+import pdwg
+import pdwg.cli
+for name in pdwg.catalog_names():
+    problem = pdwg.builtin(name)
+    pdwg.build_initial_mesh(problem.domain)
+    pdwg.cordes_check(problem.coeff, *pdwg.cordes_samples(problem.domain))
+code = pdwg.cli.main(["--problem", "nope"])
+print(json.dumps([code, sorted(m for m in sys.modules if m.split(".")[0] == "scipy")]))
+"""
+    assert json.loads(run_fresh(script)) == [2, []]
+
+
+def test_first_assembly_loads_sparse_but_not_sparse_linalg():
+    script = """
+import sys
+import pdwg
+problem = pdwg.builtin("p1")
+mesh = pdwg.build_initial_mesh(problem.domain)
+before = "scipy.sparse" in sys.modules
+pdwg.build_saddle(mesh, pdwg.SpaceConfig(k=2), problem)
+print(before, "scipy.sparse" in sys.modules, "scipy.sparse.linalg" in sys.modules)
+"""
+    assert run_fresh(script) == "False True False"

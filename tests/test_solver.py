@@ -15,7 +15,7 @@ from pdwg.problems import ProblemSpec, builtin
 from pdwg.solver import RESIDUAL_RTOL, SolverError, WgSolution, _eliminate, solve
 from pdwg.wgspace import SpaceConfig, build_dof_map
 
-from conftest import assert_csr_bitwise_equal, quadratic_problem
+from conftest import SUPERLU_ALLOCATION_FAILURES, assert_csr_bitwise_equal, quadratic_problem
 
 ALL_VARIANTS = [
     SpaceConfig(k=2, multiplier_space="pkm1", c0_type=True),
@@ -210,6 +210,22 @@ def test_out_of_memory_factorization_is_a_solver_error(unit_meshes, splu_out_of_
         solve(system)
     assert str(info.value).endswith(f"; K_red order {K_red.shape[0]}, nnz {K_red.nnz}")
     assert isinstance(info.value.__cause__, MemoryError)
+
+
+@pytest.mark.parametrize("exc", SUPERLU_ALLOCATION_FAILURES, ids=str)
+def test_superlu_allocation_failure_is_out_of_memory(unit_meshes, splu_raises, exc):
+    splu_raises(exc)
+    with pytest.raises(SolverError, match="^sparse factorization ran out of memory: ") as info:
+        solve(build_saddle(unit_meshes[1], SpaceConfig(k=2), builtin("p1")))
+    assert info.value.__cause__ is exc
+
+
+def test_exactly_singular_factor_is_not_out_of_memory(unit_meshes, splu_raises):
+    exc = RuntimeError("Factor is exactly singular")
+    splu_raises(exc)
+    with pytest.raises(SolverError, match="^sparse factorization failed: the saddle system is singular ") as info:
+        solve(build_saddle(unit_meshes[1], SpaceConfig(k=2), builtin("p1")))
+    assert info.value.__cause__ is exc
 
 
 def test_failed_load_of_sparse_linalg_is_not_a_factorization_error(unit_meshes, monkeypatch):
