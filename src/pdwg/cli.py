@@ -5,6 +5,7 @@ uniformly refined meshes, prints one summary line per level, and writes
 the convergence table as CSV (plus a plot-ready ``*.loglog.csv``
 companion).  Exit codes: 0 on success, 2 on bad flags, 3 on a solver
 or basis failure, a factorization that runs out of memory included.
+Output paths are checked with the flags, before the study runs.
 """
 
 from __future__ import annotations
@@ -84,8 +85,11 @@ def main(argv=None):
             parser.error("levels must be ≥ 2")
         if args.k < 2:
             parser.error("k must be ≥ 2")
-        for flag, path in (("--out", args.out), ("--dump-system", args.dump_system)):
+        for flag, path in (("--out", args.out), ("--out", _loglog_path(args.out)),
+                           ("--dump-system", args.dump_system)):
             folder = os.path.dirname(path or "") or "."
+            if path is not None and (path == "" or os.path.isdir(path)):
+                parser.error(f"{flag}: {path!r} is empty or a directory")
             if path and not (os.path.isdir(folder) and os.access(folder, os.W_OK)):
                 parser.error(f"{flag}: cannot write to directory {folder!r}")
         try:

@@ -108,7 +108,7 @@ _WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
 #: less time on 32 (level 7).
 _CHUNKS_PER_THREAD = 16
 
-#: ``_running.chunk`` is True on a thread while it takes chunks from the others.
+#: ``_running.chunk`` is True on a thread while it runs its share of a loop's chunks.
 _running = threading.local()
 
 
@@ -157,17 +157,17 @@ def _for_chunks(nt, body):
     """Call ``body(e)`` for every slice ``e`` of :func:`_chunks` over ``nt``.
 
     ``body`` must write only its own chunk's slice of any shared output.
-    The loop runs on ``min(_WORKERS, n // _CHUNKS_PER_THREAD)`` threads
-    for ``n`` chunks; with fewer than two, or when called from a chunk
-    that shares its loop with other threads, the chunks run inline, in
-    order.  Otherwise the caller first runs chunk 0 alone: every chunk
+    The loop runs on ``w = min(_WORKERS, n // _CHUNKS_PER_THREAD)``
+    threads for ``n`` chunks; with fewer than two, or when called from a
+    chunk that shares its loop with other threads, the chunks run inline,
+    in order.  Otherwise the caller first runs chunk 0 alone: every chunk
     must read the same per-mesh inputs, so the threads then only read
     ``mesh._cache``, and a loop that chunk 0 starts (a basis built on
-    first use) may dispatch too.  Then the caller and one helper per
-    further thread take the other chunks in order from one counter.  An
-    exception in a chunk propagates unchanged; the first failure stops
-    the hand-out, and of all failed chunks the lowest one's error is
-    raised.  Every lower chunk has run, so this is the serial error.
+    first use) may dispatch too.  Then thread ``t`` (the caller is 1, the
+    helpers 2 to ``w``) runs chunks ``t, t + w, t + 2w, ...`` in order,
+    up to its own first failure.  The lowest failed chunk's error
+    propagates unchanged: a thread stops only at its own failure, so
+    every lower chunk has run, and this is the serial error.
     """
     chunks = list(_chunks(nt))
     workers = min(_WORKERS, len(chunks) // _CHUNKS_PER_THREAD)
@@ -177,36 +177,30 @@ def _for_chunks(nt, body):
         return
 
     body(chunks[0])
-    lock = threading.Lock()
-    todo = enumerate(chunks[1:], start=1)
-    failed = {}  # chunk index -> exception
+    failed = {}  # chunk index -> exception, read after the joins
 
-    def work():
+    def work(t):
         _running.chunk = True
         try:
-            while True:
-                with lock:
-                    i, e = (None, None) if failed else next(todo, (None, None))
-                if e is None:
-                    return
+            for i in range(t, len(chunks), workers):
                 try:
-                    body(e)
+                    body(chunks[i])
                 except BaseException as exc:
-                    with lock:
-                        failed[i] = exc
+                    failed[i] = exc
+                    return
         finally:
             _running.chunk = False
 
     helpers = []
     try:
-        for _ in range(workers - 1):
-            t = threading.Thread(target=work, daemon=True)
-            t.start()
-            helpers.append(t)  # joined below even if a later start fails
-        work()
+        for t in range(2, workers + 1):
+            helper = threading.Thread(target=work, args=(t,), daemon=True)
+            helper.start()
+            helpers.append(helper)  # joined below even if a later start fails
+        work(1)
     finally:
-        for t in helpers:
-            t.join()
+        for helper in helpers:
+            helper.join()
     if failed:
         raise failed[min(failed)]
 

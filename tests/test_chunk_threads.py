@@ -309,6 +309,35 @@ def test_every_chunk_runs_once_under_fast_thread_switches(pool, set_chunk):
     assert counts.tolist() == [1] * counts.size
 
 
+def test_failed_helper_start_joins_the_started_helpers(pool, monkeypatch):
+    # The second helper cannot start, as when the process is out of
+    # threads: that error propagates once the helper that did start has
+    # run its chunks and been joined, and no chunk runs twice.  Each
+    # chunk sleeps, so a helper left unjoined would still be alive.
+    started = pool(3)
+    counted = pdwg.polyquad.threading.Thread
+
+    class Refused(counted):
+        def start(self):
+            if len(started) == 1:
+                raise RuntimeError("can't start new thread")
+            super().start()
+
+    monkeypatch.setattr(pdwg.polyquad.threading, "Thread", Refused)
+    counts = np.zeros(7, dtype=np.int64)
+
+    def chunk(e):
+        time.sleep(0.01)
+        counts[e.start // POOL_CHUNK] += 1
+
+    with pytest.raises(RuntimeError, match="can't start new thread"):
+        _for_chunks(counts.size * POOL_CHUNK, chunk)
+    assert len(started) == 1
+    assert not started[0].is_alive()
+    # Chunk 0 on the caller, then the started helper's stride 2, 5.
+    assert counts.tolist() == [1, 0, 1, 0, 0, 1, 0]
+
+
 def test_first_cached_call_from_several_threads_returns_one_object(set_workers):
     set_workers(1)
     mesh = mesh_hierarchy("unit_square", 3)[-1]  # fresh cache

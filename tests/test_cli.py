@@ -62,6 +62,26 @@ def test_rejects_output_in_missing_directory(flag, tmp_path, monkeypatch, capsys
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("flag, name", [
+    ("--out", ""),
+    ("--dump-system", ""),
+    ("--out", "taken"),
+    ("--dump-system", "taken"),
+    ("--out", "taken.csv"),  # its companion taken.loglog.csv is a directory
+])
+def test_rejects_output_that_is_empty_or_a_directory(flag, name, tmp_path, monkeypatch, capsys):
+    # Such a path could never be written: checked with the flags, before
+    # any study runs or any file is written.
+    monkeypatch.setattr(pdwg.cli, "run_study", lambda *a, **kw: pytest.fail("study ran"))
+    (tmp_path / "taken").mkdir()
+    (tmp_path / "taken.loglog.csv").mkdir()
+    argv = ["--problem", "p1", "--levels", "2", "--out", str(tmp_path / "study.csv")]
+    assert main(argv + [flag, str(tmp_path / name) if name else ""]) == 2
+    bad = "" if not name else str(tmp_path / name.replace(".csv", ".loglog.csv"))
+    assert f"{flag}: {bad!r} is empty or a directory" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["taken", "taken.loglog.csv"]
+
+
 def test_parser_defaults():
     args = build_parser().parse_args(["--problem", "p1"])
     assert args.k == 2
