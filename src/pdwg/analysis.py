@@ -233,7 +233,7 @@ def discrete_norms(primal, mesh, config, problem):
 
 
 def _order(prev, cur):
-    if prev is None or not (prev > 0.0) or not (cur > 0.0):
+    if not (prev > 0.0) or not (cur > 0.0):
         return None
     return float(np.log2(prev / cur))
 
@@ -302,7 +302,7 @@ class ConvergenceTable:
         return lines
 
 
-def run_study(problem, config=None, levels=6, on_level=None):
+def run_study(problem, config=SpaceConfig(), levels=6, on_level=None):
     """Solve ``problem`` on ``levels`` uniformly refined meshes.
 
     Parameters
@@ -310,8 +310,8 @@ def run_study(problem, config=None, levels=6, on_level=None):
     problem : ProblemSpec
         Its ``quad_degree`` sets the degree of every data integral.
     config : SpaceConfig, optional
-        Defaults to the C0 variant with ``k = 2`` and the degree-1
-        multiplier space.
+        Defaults to ``SpaceConfig()``: the C0 variant with ``k = 2`` and
+        the degree-1 multiplier space.
     levels : int
         Number of meshes (the initial mesh plus ``levels - 1``
         refinements); must be at least 2 so orders can be observed.
@@ -329,8 +329,6 @@ def run_study(problem, config=None, levels=6, on_level=None):
     the cause and the worst point goes to ``logging.getLogger("pdwg")``
     and the study still runs.
     """
-    if config is None:
-        config = SpaceConfig()
     if levels < 2:
         raise ValueError("levels must be >= 2")
     cordes = cordes_check(problem.coeff, *cordes_samples(problem.domain))

@@ -5,7 +5,8 @@ uniformly refined meshes, prints one summary line per level, and writes
 the convergence table as CSV (plus a plot-ready ``*.loglog.csv``
 companion).  Exit codes: 0 on success, 2 on bad flags, 3 on a solver
 or basis failure, a factorization that runs out of memory included.
-Output paths are checked with the flags, before the study runs.
+Output paths are checked with the flags, before the study runs; no two
+of them may name the same file.
 """
 
 from __future__ import annotations
@@ -85,13 +86,20 @@ def main(argv=None):
             parser.error("levels must be ≥ 2")
         if args.k < 2:
             parser.error("k must be ≥ 2")
-        for flag, path in (("--out", args.out), ("--out", _loglog_path(args.out)),
-                           ("--dump-system", args.dump_system)):
-            folder = os.path.dirname(path or "") or "."
-            if path is not None and (path == "" or os.path.isdir(path)):
+        outputs = [("--out", args.out), ("--out", _loglog_path(args.out))]
+        if args.dump_system is not None:
+            outputs.append(("--dump-system", args.dump_system))
+        written = {}
+        for flag, path in outputs:
+            folder = os.path.dirname(path) or "."
+            if path == "" or os.path.isdir(path):
                 parser.error(f"{flag}: {path!r} is empty or a directory")
-            if path and not (os.path.isdir(folder) and os.access(folder, os.W_OK)):
+            if not (os.path.isdir(folder) and os.access(folder, os.W_OK)):
                 parser.error(f"{flag}: cannot write to directory {folder!r}")
+            real = os.path.realpath(path)
+            if real in written:
+                parser.error(f"{written[real]} and {flag} name the same file {real!r}")
+            written[real] = flag
         try:
             problem = builtin(args.problem)
         except ValueError as exc:
@@ -105,18 +113,13 @@ def main(argv=None):
         c0_type=not args.no_c0,
     )
 
-    final = {}
-
-    def _grab(sol, row):
-        # Only the finest level is dumped; holding a coarser one would keep
-        # its system alive while the next level is built and factored.
-        if row.level == args.levels - 1:
-            final["sol"] = sol
+    def _dump_finest(sol, row):
+        # Dumped as the finest level solves, so no solution outlives its level.
+        if args.dump_system and row.level == args.levels - 1:
+            dump_system(sol.system, args.dump_system)
 
     try:
-        table = run_study(
-            problem, config, levels=args.levels, on_level=_grab if args.dump_system else None
-        )
+        table = run_study(problem, config, levels=args.levels, on_level=_dump_finest)
     except SolverError as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return 3
@@ -128,8 +131,6 @@ def main(argv=None):
         print(line)
     table.to_csv(args.out)
     table.to_loglog_csv(_loglog_path(args.out))
-    if args.dump_system:
-        dump_system(final["sol"].system, args.dump_system)
     return 0
 
 

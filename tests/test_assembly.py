@@ -303,6 +303,22 @@ def test_assembled_blocks_own_exactly_nnz_entries(c0):
         assert owned_size(M.data) == owned_size(M.indices) == M.nnz
 
 
+@pytest.mark.parametrize("c0, mult", [(True, "pkm1"), (False, "pkm2")], ids=["c0", "general"])
+def test_int64_index_path_keeps_the_bits(monkeypatch, c0, mult):
+    # S first needs int64 indices at 2**31 unsummed entries (level 11 of
+    # the unit square); forced on a small mesh, S and B keep the int32 bits.
+    problem = builtin("p4")
+    mesh = refine_uniform(refine_uniform(build_initial_mesh(problem.domain)))
+    config = SpaceConfig(k=2, multiplier_space=mult, c0_type=c0)
+    want = build_saddle(mesh, config, problem)
+    widened = []
+    monkeypatch.setattr("pdwg.assembly._index_dtype", lambda m: widened.append(m) or np.int64)
+    got = build_saddle(mesh, config, problem)
+    assert len(widened) == 2  # the S slot map and the B columns
+    assert_csr_bitwise_equal(got.S, want.S)
+    assert_csr_bitwise_equal(got.B, want.B)
+
+
 @pytest.mark.parametrize("k", [2, 3, 4])
 @pytest.mark.parametrize("c0", [False, True])
 def test_coupled_pairs_hold_every_nonzero_of_the_local_blocks(unit_meshes, k, c0):

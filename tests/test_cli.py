@@ -82,6 +82,21 @@ def test_rejects_output_that_is_empty_or_a_directory(flag, name, tmp_path, monke
     assert sorted(p.name for p in tmp_path.iterdir()) == ["taken", "taken.loglog.csv"]
 
 
+@pytest.mark.parametrize("dump", ["study.csv", "study.loglog.csv", "link.csv"])
+def test_rejects_outputs_that_name_the_same_file(dump, tmp_path, monkeypatch, capsys):
+    # --dump-system would overwrite the table or its companion (link.csv
+    # is a symlink to the table): checked with the flags, before any study
+    # runs or any file is written.
+    monkeypatch.setattr(pdwg.cli, "run_study", lambda *a, **kw: pytest.fail("study ran"))
+    out = tmp_path / "study.csv"
+    (tmp_path / "link.csv").symlink_to(out)
+    argv = ["--problem", "p1", "--levels", "2", "--out", str(out)]
+    assert main(argv + ["--dump-system", str(tmp_path / dump)]) == 2
+    real = os.path.realpath(tmp_path / dump)
+    assert f"--out and --dump-system name the same file {real!r}" in capsys.readouterr().err
+    assert [p.name for p in tmp_path.iterdir()] == ["link.csv"]
+
+
 def test_parser_defaults():
     args = build_parser().parse_args(["--problem", "p1"])
     assert args.k == 2
