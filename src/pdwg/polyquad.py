@@ -44,21 +44,16 @@ kept.  Each element's arithmetic does not depend on the other elements
 of its chunk, so the chunk size changes no bit of any result.
 
 Every such loop goes through :func:`_for_chunks`, which runs its chunks
-on up to one thread per CPU of the process's affinity mask, threads that
-live for one call, and inline when the loop has too few chunks to gain.
-The caller runs the first chunk alone, which caches every per-mesh input
-the others read.  Each chunk does the serial loop's arithmetic and writes
-only its own slice of the output, so the results are bitwise the same
-for any number of threads; numpy releases the GIL in the einsums,
-matmuls and ufuncs that do a chunk's work.
+in order on the calling thread.  The one thread the package starts is
+:func:`~pdwg.assembly.build_saddle`'s, which on large meshes builds the
+stabilizer while the caller builds the constraint block; each of the two
+runs its own loops whole.
 """
 
 from __future__ import annotations
 
 import functools
 import operator
-import os
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -98,20 +93,6 @@ DATA_DEGREE_DEFAULT = 12
 #: the same order as over the whole mesh, so it changes no bit.
 _GRAM_CHUNK = 1024
 
-#: Threads that run the chunks of one loop at most: the caller and
-#: ``_WORKERS - 1`` helpers, one per CPU the process may run on.
-_WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-            else os.cpu_count() or 1)
-
-#: Fewest chunks per thread of :func:`_for_chunks`.  On two CPUs, two
-#: threads took longer than one on 8 chunks (a level-6 mesh) and a third
-#: less time on 32 (level 7).
-_CHUNKS_PER_THREAD = 16
-
-#: ``_running.chunk`` is True on a thread while it runs its share of a loop's chunks.
-_running = threading.local()
-
-
 def _evaluate(fn, x, y, what="function", **region):
     """Values of the problem data ``fn`` at the points ``(x, y)``, broadcast to their shape.
 
@@ -149,60 +130,14 @@ def _einsum_path(spec, shapes):
 
 
 def _chunks(nt):
-    """Slices of ``_GRAM_CHUNK`` consecutive elements covering ``nt``."""
-    return (slice(start, start + _GRAM_CHUNK) for start in range(0, nt, _GRAM_CHUNK))
+    """Slices of ``_GRAM_CHUNK`` consecutive elements covering ``nt``, as a list."""
+    return [slice(start, start + _GRAM_CHUNK) for start in range(0, nt, _GRAM_CHUNK)]
 
 
 def _for_chunks(nt, body):
-    """Call ``body(e)`` for every slice ``e`` of :func:`_chunks` over ``nt``.
-
-    ``body`` must write only its own chunk's slice of any shared output.
-    The loop runs on ``w = min(_WORKERS, n // _CHUNKS_PER_THREAD)``
-    threads for ``n`` chunks; with fewer than two, or when called from a
-    chunk that shares its loop with other threads, the chunks run inline,
-    in order.  Otherwise the caller first runs chunk 0 alone: every chunk
-    must read the same per-mesh inputs, so the threads then only read
-    ``mesh._cache``, and a loop that chunk 0 starts (a basis built on
-    first use) may dispatch too.  Then thread ``t`` (the caller is 1, the
-    helpers 2 to ``w``) runs chunks ``t, t + w, t + 2w, ...`` in order,
-    up to its own first failure.  The lowest failed chunk's error
-    propagates unchanged: a thread stops only at its own failure, so
-    every lower chunk has run, and this is the serial error.
-    """
-    chunks = list(_chunks(nt))
-    workers = min(_WORKERS, len(chunks) // _CHUNKS_PER_THREAD)
-    if workers < 2 or getattr(_running, "chunk", False):
-        for e in chunks:
-            body(e)
-        return
-
-    body(chunks[0])
-    failed = {}  # chunk index -> exception, read after the joins
-
-    def work(t):
-        _running.chunk = True
-        try:
-            for i in range(t, len(chunks), workers):
-                try:
-                    body(chunks[i])
-                except BaseException as exc:
-                    failed[i] = exc
-                    return
-        finally:
-            _running.chunk = False
-
-    helpers = []
-    try:
-        for t in range(2, workers + 1):
-            helper = threading.Thread(target=work, args=(t,), daemon=True)
-            helper.start()
-            helpers.append(helper)  # joined below even if a later start fails
-        work(1)
-    finally:
-        for helper in helpers:
-            helper.join()
-    if failed:
-        raise failed[min(failed)]
+    """Call ``body(e)`` for every slice ``e`` of :func:`_chunks` over ``nt``, in order."""
+    for e in _chunks(nt):
+        body(e)
 
 
 @dataclass(frozen=True)
@@ -606,10 +541,9 @@ def project_element(f, degree, mesh, quad_degree=None):
     f : callable
         Vectorized ``f(x, y)`` over coordinate arrays; it may return a
         scalar or any array that broadcasts to them.  It is called on
-        one chunk of elements at a time, from several threads at once
-        (see :func:`_for_chunks`), so it must be pointwise, the value at
-        a point depending only on that point's coordinates, and must not
-        change shared state.
+        one chunk of elements at a time (see :func:`_for_chunks`), so it
+        must be pointwise, the value at a point depending only on that
+        point's coordinates.
     degree : int
     mesh : Mesh
     quad_degree : int, optional

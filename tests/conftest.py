@@ -232,12 +232,6 @@ def set_chunk(monkeypatch):
     return lambda size: monkeypatch.setattr(pdwg.polyquad, "_GRAM_CHUNK", size)
 
 
-@pytest.fixture()
-def set_workers(monkeypatch):
-    """Set the number of threads that run the chunks of one loop, for one test."""
-    return lambda n: monkeypatch.setattr(pdwg.polyquad, "_WORKERS", n)
-
-
 #: What SuperLU raises when an allocation fails: the texts of its
 #: allocation aborts, and the ``SystemError`` that follows "Can't expand
 #: MemType" under a tight address-space limit.

@@ -232,7 +232,6 @@ def test_stabilizer_streams_by_chunks(c0):
     # blocks at a time and keeps only the coupled local pairs, so the peak
     # stays well below two whole-mesh sets of blocks: 3.84-3.87 blocks
     # with whole-mesh Gram arrays, 1.64 (general) and 2.22 (C0) streamed.
-    # 8 chunks are too few to share between threads, on any host.
     mesh = mesh_hierarchy("unit_square", 6)[-1]  # p5's domain, fresh memo
     assert mesh.n_triangles >= 8 * _GRAM_CHUNK
     config = SpaceConfig(k=2, multiplier_space="pkm1" if c0 else "pkm2", c0_type=c0)
@@ -246,27 +245,6 @@ def test_stabilizer_streams_by_chunks(c0):
         tracemalloc.stop()
     blocks = mesh.n_triangles * dm.config.nloc**2 * 8
     assert peak <= 2.5 * blocks
-
-
-@pytest.mark.parametrize("workers", [1, 2, 4])
-def test_stabilizer_threads_each_hold_one_chunk(set_chunk, set_workers, workers):
-    # Chunks of 128 elements at level 6: 64 chunks, enough for 4 threads.
-    # Each thread adds at most its own chunk's Gram blocks and their
-    # temporaries, about 1.2 chunks of blocks, to the one-thread bound.
-    set_chunk(128)
-    set_workers(workers)
-    mesh = mesh_hierarchy("unit_square", 6)[-1]  # p5's domain, fresh memo
-    dm = build_dof_map(mesh, SpaceConfig(k=2, multiplier_space="pkm1", c0_type=True))
-    stabilizer_local_parts(mesh, dm, slice(0, 1))  # builds the bases and rules S reads
-    tracemalloc.start()
-    try:
-        assemble_stabilizer(mesh, dm)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    blocks = mesh.n_triangles * dm.config.nloc**2 * 8
-    chunk_blocks = 128 * dm.config.nloc**2 * 8
-    assert peak <= 2.5 * blocks + (workers - 1) * 2.0 * chunk_blocks
 
 
 @pytest.mark.parametrize("c0", [False, True])

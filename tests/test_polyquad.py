@@ -471,8 +471,7 @@ def test_project_element_streams_by_chunks():
     # At level 6 (8,192 elements, 8 chunks) the projection holds one
     # chunk's basis values at a time.  Peak traced allocation in units of
     # the whole-mesh basis table (nt * nq * dim float64): 4.0 when the
-    # whole mesh was evaluated at once, 0.52 by chunks.  8 chunks are too
-    # few to share between threads, on any host.
+    # whole mesh was evaluated at once, 0.52 by chunks.
     mesh = mesh_hierarchy("unit_square", 6)[-1]
     f = lambda x, y: np.exp(x) * np.sin(3.0 * y)
     project_element(f, 2, mesh)  # builds the basis and mesh geometry it reads
